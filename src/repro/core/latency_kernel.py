@@ -14,31 +14,65 @@ permutation:
 * message sizes (``msg_PP``, per-stage ``msg_DP``, the tensor-parallel
   all-reduce payload) and their alpha-beta coefficients,
 * the profiled compute scalar ``C`` (with its recompute factors),
-* the per-slot TP-group bandwidth minima (a TP group always occupies
-  one slot of ``tp`` consecutive GPUs, whichever block lands there),
+* each slot's TP all-reduce time (a TP group always occupies one slot
+  of ``tp`` consecutive GPUs, whichever block lands there),
 * the slot-pair bandwidth tables ``matrix[s1*tp + y, s2*tp + y]`` that
-  the pipeline-chain and data-parallel terms read through,
-* the slot-GPU and node-of-slot tables and the stage-major block
-  layout (:func:`repro.parallel.mapping.slot_gpu_index`,
-  :func:`repro.parallel.mapping.slot_node_index`,
-  :meth:`repro.parallel.mapping.WorkerGrid.stage_blocks`).
+  the pipeline-chain and data-parallel terms read through, and the
+  slot-pair same-node table of the hierarchical ring,
+* the stage-major block layout
+  (:meth:`repro.parallel.mapping.WorkerGrid.stage_blocks`).
 
 :class:`LatencyKernel` hoists all of that into ``__init__`` and reduces
 one objective evaluation to a handful of NumPy gathers and reductions
 over the raw permutation array — no Python-level group loops, no
 ``Mapping`` construction.
 
+**Tensor-rank collapse.** Three terms are the maximum of a function of
+one bandwidth over the ``tp`` tensor ranks a block spans, and the
+kernel reduces that axis once in ``__init__`` instead of on every
+call:
+
+* the TP straggler: each slot's TP all-reduce time, computed from the
+  slowest link inside the slot;
+* the single hop of a ``pp == 2`` chain: the hop table keeps its
+  per-pair maximum over tensor ranks;
+* the one-member-per-node DP ring (``tp == gpus_per_node``): the ring
+  formula ``num / ((dp * bw) * GB)`` is applied to the per-pair
+  bandwidth minimum over tensor ranks; the kernel stores its
+  denominator per slot pair, and a call divides by the smallest
+  denominator of the group's pairs.
+
+The last is exact, not approximate.  The formula is a chain of
+correctly rounded ``*`` and ``/`` on positive operands, each monotone
+in ``bw``: the denominator never falls as ``bw`` grows and the
+quotient never rises.  So ``max_y f(bw_y) == f(min_y bw_y)`` bit for
+bit (the right side *is* one of the values on the left), and the
+smallest denominator is the denominator of the smallest bandwidth.
+A ``pp > 2`` chain sums several hops per tensor rank, and the
+multi-slot-per-node ring adds an intra- and an inter-node phase per
+tensor rank, so those keep their tensor-rank axis; the ring's
+slot-pair same-node table is built once, so a call no longer gathers
+node ids or compares them.
+
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
 implementation's operation order (same products, same quotients, same
-reduction extrema), so ``kernel.evaluate_perm(m.block_to_slot)`` is
-*bit-identical* to ``latency_with_options(..., m, ...)`` for every
-mapping.  That is what lets :func:`repro.core.annealing.anneal_mapping`
-replay the exact accept/reject trajectory of the pre-kernel annealer
-for the same :class:`~repro.core.annealing.SAOptions` seed — cached
-plans, store round-trips, and gateway coalescing see byte-identical
-results, just computed an order of magnitude faster
-(``benchmarks/bench_annealing_kernel.py``).
+reduction extrema) or provably rounds to the same float (a formula
+applied to a minimum, as above; a factor of ``4.0`` or ``2.0`` moved
+inside a product, which scales exactly), so
+``kernel.evaluate_perm(m.block_to_slot)`` is *bit-identical* to
+``latency_with_options(..., m, ...)`` for every mapping.  Minima and
+maxima are exact in any order and grouping, so the kernel reduces them
+however is cheapest; sums are never reassociated (a chain's hops are
+accumulated in chain order).  That is
+what lets :func:`repro.core.annealing.anneal_mapping` replay the exact
+accept/reject trajectory of the pre-kernel annealer for the same
+:class:`~repro.core.annealing.SAOptions` seed — cached plans, store
+round-trips, and gateway coalescing see byte-identical results, just
+computed one to two orders of magnitude faster: 14-43x the reference
+on the Table 1 shapes, about 1.7x the kernel before the tensor-rank
+collapse on the ``tp == 8`` ones (``benchmarks/bench_annealing_kernel.py``;
+figures in the README).
 
 **The incremental contract.** :meth:`LatencyKernel.evaluate_perm`
 remains the executable spec, but an annealing move touches at most a
@@ -46,20 +80,20 @@ handful of permutation positions, and Eqs. (3)-(6) decompose into
 *per-component partial terms* that each depend only on a slice of the
 permutation:
 
-* the tensor-parallel straggler vector (stage 0 + last stage blocks),
-* one pipeline-chain sum per ``(tensor rank, data rank)`` lane,
+* the TP straggler time (stage 0 + last stage blocks),
+* one pipeline-chain time per data-rank lane (worst tensor rank),
 * one data-parallel ring term per exposure-aware stage.
 
-:class:`IncrementalEvaluator` caches those partials for a bound
-permutation and, per proposed move, recomputes only the touched
-components — *with the exact operation order of the full evaluation*
-(chain sums re-accumulate their whole lane sequentially; a stage's
-ring term is recomputed whole), so the incremental value equals
-``evaluate_perm`` to the last bit and the annealer's trajectory is
-unchanged.  :meth:`LatencyKernel.delta_for_move` wraps this as the
-one-shot ``latency(move(perm)) - latency(perm)`` form, and
-:meth:`LatencyKernel.evaluate_batch` scores K permutations per NumPy
-dispatch for the annealer's batched proposal mode.
+Each term has one implementation on the kernel, written over any
+leading batch axes.  :meth:`LatencyKernel.evaluate_perm` and
+:meth:`LatencyKernel.evaluate_batch` (K permutations per NumPy
+dispatch, for the annealer's batched proposal mode) run every term on
+the whole permutation; :class:`IncrementalEvaluator` caches the terms
+of a bound permutation and, per proposed move, re-runs only the
+touched ones, so the incremental value equals ``evaluate_perm`` to the
+last bit and the annealer's trajectory is unchanged.
+:meth:`LatencyKernel.delta_for_move` wraps this as the one-shot
+``latency(move(perm)) - latency(perm)`` form.
 """
 
 from __future__ import annotations
@@ -87,6 +121,24 @@ from repro.parallel.messages import (
 )
 from repro.profiling.profile_run import ComputeProfile
 from repro.units import GB
+
+# The hot path calls ufunc methods and ``ndarray.take`` directly: the
+# ``np.take`` / ``ndarray.max`` wrappers cost a Python frame per call.
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+_add = np.add.reduce
+
+
+def _last_max(x: np.ndarray):
+    """Maximum over the last axis of ``x``.
+
+    A vector (one permutation's terms) takes its maximum through
+    ``argmax``, several times cheaper than a ufunc reduction at these
+    sizes; both return the same element.
+    """
+    if x.ndim == 1:
+        return x[x.argmax()]
+    return _max(x, axis=-1)
 
 
 class LatencyKernel:
@@ -140,7 +192,7 @@ class LatencyKernel:
         self._n_mb = config.n_microbatches
         self._eff = options.collective_efficiency
         # Resolve the schedule's analytic critical-time function once;
-        # ``_finish`` calls it on every objective evaluation.
+        # ``_combine`` calls it on every objective evaluation.
         from repro.sim.schedule import schedule_type
 
         self._critical_time = schedule_type(config.schedule).critical_time
@@ -155,15 +207,18 @@ class LatencyKernel:
         if tp > 1:
             # Slowest link inside each slot's TP group (the matrix
             # diagonal is +inf and never wins, matching
-            # ``min_over_group``), gathered through the slot-GPU table.
+            # ``min_over_group``), gathered through the slot-GPU table;
+            # then the reference's TP all-reduce time of each slot,
+            # computed elementwise here rather than once per call.
             gpus = slot_gpu_index(grid, cluster)       # (n_slots, tp)
-            self._tp_min_bw = matrix[gpus[:, :, None],
-                                     gpus[:, None, :]].min(axis=(1, 2))
+            tp_min_bw = matrix[gpus[:, :, None],
+                               gpus[:, None, :]].min(axis=(1, 2))
             steps = tp - 1
-            self._tp_coef = 2.0 * (steps / tp) * tp_allreduce_bytes(
+            tp_coef = 2.0 * (steps / tp) * tp_allreduce_bytes(
                 model, config.micro_batch)
-            self._tp_layers4 = stage_layer_count(model.n_layers, pp, 0) \
+            tp_layers4 = stage_layer_count(model.n_layers, pp, 0) \
                 * TP_ALLREDUCES_PER_LAYER
+            self._tp_time = tp_layers4 * (tp_coef / (tp_min_bw * GB))
             # The reference model inspects stage 0 and the last stage;
             # these are the positions of their blocks in the permutation.
             rows = grid.stage_blocks()
@@ -179,7 +234,7 @@ class LatencyKernel:
         # GPUs of slots ``s1`` and ``s2`` — the table both the pipeline
         # chains and the data-parallel rings gather through (flattened
         # to ``(tp, n_slots**2)`` so hot-loop gathers are single
-        # ``np.take`` calls over ``s1 * n_slots + s2`` indices).
+        # ``take`` calls over ``s1 * n_slots + s2`` indices).
         if pp > 1 or dp > 1:
             pair_bw = blocked.diagonal(axis1=1, axis2=3).transpose(2, 0, 1)
             flat_pair = np.ascontiguousarray(pair_bw.reshape(tp, -1))
@@ -187,26 +242,45 @@ class LatencyKernel:
         # ---- pipeline-parallel term (Eq. 5) --------------------------
         if pp > 1:
             hop_num = 2.0 * pp_message_bytes(model, config.micro_batch)
-            self._pp_hop_flat = hop_num / (flat_pair * GB)
+            hop = hop_num / (flat_pair * GB)
+            # A two-stage chain is one hop, so its worst tensor rank is
+            # the per-pair maximum of the hop table.
+            self._hop = hop.max(axis=0) if pp == 2 else hop
 
         # ---- data-parallel term (Eq. 6) ------------------------------
         if dp > 1:
-            self._pair_flat = flat_pair
-            self._node_of_slot = slot_node_index(grid, cluster)
-            self._msg_dp = np.array([dp_message_bytes(model, pp, tp, stage=s)
-                                     for s in range(pp)])
-            self._tril = np.tril(np.ones((dp, dp), dtype=bool), -1)
             ns = pp if options.dp_exposure_aware else 1
             self._n_dp_stages = ns
-            self._msg_dp_col = self._msg_dp[:ns, None]
-            self._drain_steps = np.arange(1, ns)
+            msg_dp = np.array([dp_message_bytes(model, pp, tp, stage=s)
+                               for s in range(ns)])
+            # Stage ``s`` hides its ring behind ``s`` backward passes of
+            # drain slack; stage 0's ring is fully exposed.
+            self._drain_steps = np.arange(ns, dtype=np.float64)
             # When a slot is a whole node (tp == gpus_per_node, the
             # Megatron default), every DP group has exactly one member
-            # per node: the intra-node phase vanishes and the leaders
-            # are all ``dp`` members — a much shorter evaluation.
+            # per node: the intra-node phase vanishes, the leaders are
+            # all ``dp`` members, and the ring's worst tensor rank is
+            # the one with the slowest link (see the module docstring).
             self._one_slot_per_node = cluster.gpus_per_node // tp == 1
             if self._one_slot_per_node:
-                self._inter_num_all = (2.0 * (dp - 1)) * self._msg_dp[:ns]
+                # The ring's denominator ``(dp * bw) * GB`` over the
+                # slowest tensor rank of each slot pair; it grows with
+                # ``bw``, so its minimum over a group's pairs is the
+                # denominator of the group's slowest link.
+                self._ring_den = (dp * flat_pair.min(axis=0)) * GB
+                self._inter_num = (2.0 * (dp - 1)) * msg_dp
+            else:
+                node = slot_node_index(grid, cluster)
+                same = (node[:, None] == node[None, :]).ravel()
+                self._pair_flat = flat_pair
+                self._same_flat = same
+                self._ranks = np.arange(dp)
+                # The ring numerators ``(4.0 * (k - 1)) * msg`` and
+                # ``(2.0 * (kn - 1)) * msg`` as ``(k - 1) * (4.0 * msg)``:
+                # scaling by a power of two is exact, so both forms
+                # round the same real product once.
+                self._msg_dp4 = 4.0 * msg_dp
+                self._msg_dp2 = 2.0 * msg_dp
 
     # ------------------------------------------------------------- evaluation
 
@@ -225,168 +299,152 @@ class LatencyKernel:
         the annealing loop guarantee that by construction (the move set
         preserves permutations), so no per-call check is paid.
         """
-        pp, tp, dp = self.grid.pp, self.grid.tp, self.grid.dp
-        perm = np.asarray(perm)
-        slots = perm.reshape(pp, dp)
-        if pp > 1 or dp > 1:
-            scaled = slots * self._n_slots        # s1 * n_slots, by stage
-
-        # C + T_TP_com: the straggler TP group sets the pace.
-        c_tp = self._c
-        if tp > 1:
-            sel = np.take(self._tp_min_bw, np.take(perm, self._tp_blocks))
-            t = self._tp_layers4 * (self._tp_coef / (sel * GB))
-            c_tp = self._c + self._tp_factor * float(t.max())
-
-        # Eq. (5): slowest end-to-end pipeline communication path.  The
-        # running ``add.accumulate`` visits hops in chain order, so the
-        # floating-point sum matches the reference's sequential
-        # accumulation exactly (unlike ``np.sum``'s pairwise blocking).
-        t_pp = 0.0
-        if pp > 1:
-            hop = np.take(self._pp_hop_flat, scaled[:-1] + slots[1:], axis=1)
-            t_pp = float(np.add.accumulate(hop, axis=1)[:, -1].max())
-
-        backward_slack = 2.0 * c_tp / 3.0
-
-        # Eq. (6): hierarchical-ring all-reduce per stage, worst tensor
-        # rank; later stages net of their drain slack when
-        # ``dp_exposure_aware``.
-        t_dp = 0.0
-        if dp > 1:
-            ns = self._n_dp_stages
-            pair = np.take(self._pair_flat,
-                           scaled[:ns, :, None] + slots[:ns, None, :],
-                           axis=1)                                # (tp,ns,dp,dp)
-            if self._one_slot_per_node:
-                # One member per node: no intra phase, every member is
-                # its node's leader, and the group min needs no mask
-                # (the diagonal is +inf and never wins).
-                inter_bw = pair.reshape(tp, ns, -1).min(axis=2)   # (tp, ns)
-                inter = self._inter_num_all[None] \
-                    / ((dp * inter_bw) * GB)
-                stage_t = inter.max(axis=0)                       # (ns,)
-                exposed = float(stage_t[0])
-                if ns > 1:
-                    adj = stage_t[1:] - self._drain_steps * backward_slack
-                    exposed = max(exposed, float(adj.max()))
-                return self._finish(pp, c_tp, t_pp, exposed / self._eff)
-            nodes = np.take(self._node_of_slot, slots[:ns])       # (ns, dp)
-            same = nodes[:, :, None] == nodes[:, None, :]         # (ns, dp, dp)
-
-            # Intra-node phase: per data rank, the slowest link to a
-            # same-node peer; the member attaining the node minimum
-            # reproduces the reference's per-node term, the rest are
-            # dominated.  A data rank's node population is its row sum
-            # of ``same``.  Excluded pairs are masked to +inf, so the
-            # min ranges over exactly the reference's candidate set.
-            rowmin = np.where(same[None], pair, np.inf).min(axis=3)
-            k = same.sum(axis=2)                                  # (ns, dp)
-            intra_num = (4.0 * (k - 1)) * self._msg_dp_col
-            intra = (intra_num[None] / ((k[None] * rowmin) * GB)).max(axis=2)
-
-            # Inter-node phase: leaders are each node's first member in
-            # data-rank order (no earlier same-node occurrence).
-            leader = ~((same & self._tril).any(axis=2))           # (ns, dp)
-            kn = leader.sum(axis=1)                               # (ns,)
-            pairmask = leader[:, :, None] & leader[:, None, :]
-            masked = np.where(pairmask[None], pair, np.inf)
-            inter_bw = masked.reshape(tp, ns, -1).min(axis=2)     # (tp, ns)
-            inter_num = (2.0 * (kn - 1)) * self._msg_dp[:ns]
-            inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
-
-            stage_t = (intra + inter).max(axis=0)                 # (ns,)
-            exposed = float(stage_t[0])
-            if ns > 1:
-                adj = stage_t[1:] - self._drain_steps * backward_slack
-                exposed = max(exposed, float(adj.max()))
-            t_dp = exposed / self._eff
-
-        return self._finish(pp, c_tp, t_pp, t_dp)
+        return float(self._combine(*self._terms(np.asarray(perm))))
 
     def evaluate_batch(self, perms: np.ndarray) -> np.ndarray:
         """Latencies of K block permutations in one vectorized pass.
 
         ``perms`` is a ``(K, n_blocks)`` array whose rows are
-        permutations of ``[0, n_blocks)``.  Every gather and reduction
-        of :meth:`evaluate_perm` generalizes with a leading K axis, and
-        the reductions stay per-row independent (the chain
-        ``add.accumulate`` runs along the hop axis, so each lane's sum
-        order is untouched) — row ``k`` of the result is therefore
-        *bit-identical* to ``evaluate_perm(perms[k])``.  The point is
-        dispatch amortization: the annealer's batched proposal mode
-        pays one NumPy call chain for K candidate moves instead of K.
+        permutations of ``[0, n_blocks)``.  Every term and the epilogue
+        run the same elementwise expressions as :meth:`evaluate_perm`
+        with a leading K axis, and every reduction stays per row (a
+        chain's ``add.accumulate`` runs along its hop axis, so each
+        lane's sum order is untouched) — row ``k`` of the result is
+        therefore *bit-identical* to ``evaluate_perm(perms[k])``.  The
+        point is dispatch amortization: the annealer's batched proposal
+        mode pays one NumPy call chain for K candidate moves instead of
+        K.
         """
-        pp, tp, dp = self.grid.pp, self.grid.tp, self.grid.dp
         perms = np.asarray(perms)
         if perms.ndim != 2 or perms.shape[1] != self.grid.n_blocks:
             raise ValueError(
                 f"expected a (K, {self.grid.n_blocks}) batch of "
                 f"permutations, got shape {perms.shape}"
             )
-        n = perms.shape[0]
-        slots = perms.reshape(n, pp, dp)
-        if pp > 1 or dp > 1:
-            scaled = slots * self._n_slots
+        # A one-block grid has no permutation-dependent term, so its
+        # value comes back scalar; ``full`` broadcasts it over the rows.
+        return np.full(perms.shape[0], self._combine(*self._terms(perms)))
 
-        if tp > 1:
-            sel = np.take(self._tp_min_bw,
-                          np.take(perms, self._tp_blocks, axis=1))
-            t = self._tp_layers4 * (self._tp_coef / (sel * GB))
-            c_tp = self._c + self._tp_factor * t.max(axis=1)
-        else:
-            c_tp = np.full(n, self._c)
+    # -------------------------------------------------------------- terms
 
-        t_pp = np.zeros(n)
-        if pp > 1:
-            hop = np.take(self._pp_hop_flat,
-                          scaled[:, :-1] + slots[:, 1:], axis=1)
-            t_pp = np.add.accumulate(hop, axis=2)[:, :, -1].max(axis=(0, 2))
+    def _terms(self, perm: np.ndarray) -> tuple:
+        """The partial terms of ``perm``, shape ``(..., n_blocks)``.
 
+        Returns ``(tp_worst, chain, stage_t)``: the TP straggler time,
+        the per-lane chain times and the per-stage ring terms, each
+        ``None`` when its parallelism axis is 1.
+        """
+        grid = self.grid
+        slots = perm.reshape(perm.shape[:-1] + (grid.pp, grid.dp))
+        scaled = slots * self._n_slots
         stage_t = None
-        if dp > 1:
+        if grid.dp > 1:
             ns = self._n_dp_stages
-            pair = np.take(self._pair_flat,
-                           scaled[:, :ns, :, None] + slots[:, :ns, None, :],
-                           axis=1)                         # (tp, K, ns, dp, dp)
-            if self._one_slot_per_node:
-                inter_bw = pair.reshape(tp, n, ns, -1).min(axis=3)
-                inter = self._inter_num_all[None, None] \
-                    / ((dp * inter_bw) * GB)
-                stage_t = inter.max(axis=0)                # (K, ns)
-            else:
-                nodes = np.take(self._node_of_slot, slots[:, :ns])
-                same = nodes[:, :, :, None] == nodes[:, :, None, :]
-                rowmin = np.where(same[None], pair, np.inf).min(axis=4)
-                k = same.sum(axis=3)                       # (K, ns, dp)
-                intra_num = (4.0 * (k - 1)) * self._msg_dp_col
-                intra = (intra_num[None]
-                         / ((k[None] * rowmin) * GB)).max(axis=3)
-                leader = ~((same & self._tril).any(axis=3))
-                kn = leader.sum(axis=2)                    # (K, ns)
-                pairmask = leader[:, :, :, None] & leader[:, :, None, :]
-                masked = np.where(pairmask[None], pair, np.inf)
-                inter_bw = masked.reshape(tp, n, ns, -1).min(axis=3)
-                inter_num = (2.0 * (kn - 1)) * self._msg_dp[:ns]
-                inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
-                stage_t = (intra + inter).max(axis=0)      # (K, ns)
+            stage_t = self._dp_stage_terms(slots[..., :ns, :],
+                                           scaled[..., :ns, :], slice(None))
+        return (
+            self._tp_straggler(perm) if grid.tp > 1 else None,
+            self._chain_lanes(slots, scaled) if grid.pp > 1 else None,
+            stage_t,
+        )
 
-        # Combine per row with the scalar epilogue of ``evaluate_perm``
-        # (same expressions on the same floats), so each row's final
-        # combination is performed in the spec's exact order.
-        out = np.empty(n)
-        for i in range(n):
-            row_c_tp = float(c_tp[i])
-            t_dp = 0.0
-            if stage_t is not None:
-                exposed = float(stage_t[i, 0])
-                if self._n_dp_stages > 1:
-                    backward_slack = 2.0 * row_c_tp / 3.0
-                    adj = stage_t[i, 1:] - self._drain_steps * backward_slack
-                    exposed = max(exposed, float(adj.max()))
-                t_dp = exposed / self._eff
-            out[i] = self._finish(pp, row_c_tp, float(t_pp[i]), t_dp)
-        return out
+    def _tp_straggler(self, perm: np.ndarray):
+        """Slowest TP all-reduce over the stage-0 and last-stage blocks."""
+        return _last_max(
+            self._tp_time.take(perm.take(self._tp_blocks, axis=-1)))
+
+    def _chain_lanes(self, slots: np.ndarray,
+                     scaled: np.ndarray) -> np.ndarray:
+        """Eq. (5) per data-rank lane, worst tensor rank.
+
+        ``slots`` has shape ``(..., pp, lanes)`` and ``scaled`` is
+        ``slots * n_slots``; the result drops the stage axis.  A chain
+        longer than one hop gathers its hops per tensor rank and sums
+        them with ``add.accumulate``, which visits the hops in chain
+        order, so each lane's floating-point sum matches the
+        reference's sequential accumulation exactly (unlike
+        ``np.sum``'s pairwise blocking).
+        """
+        if self.grid.pp == 2:
+            return self._hop.take(scaled[..., 0, :] + slots[..., 1, :])
+        hop = self._hop.take(scaled[..., :-1, :] + slots[..., 1:, :],
+                             axis=1)                # (tp, ..., pp - 1, lanes)
+        return _max(np.add.accumulate(hop, axis=-2)[..., -1, :], axis=0)
+
+    def _dp_stage_terms(self, sub: np.ndarray, sub_scaled: np.ndarray,
+                        stages) -> np.ndarray:
+        """Eq. (6) ring term of each stage, worst tensor rank.
+
+        ``sub`` holds the data-parallel slots of the selected stages,
+        shape ``(..., m, dp)``, ``sub_scaled`` is ``sub * n_slots``,
+        and ``stages`` indexes their per-stage message sizes; the
+        result has shape ``(..., m)``.  A stage's term reads only that
+        stage's ``dp`` slots, so any subset of stages yields the
+        identical floats.
+        """
+        # ``idx[..., j, i]`` indexes the link from data rank i's slot to
+        # data rank j's, so a minimum over j runs along a middle axis.
+        idx = sub[..., :, None] + sub_scaled[..., None, :]
+        if self._one_slot_per_node:
+            den = _min(self._ring_den.take(idx), axis=(-2, -1))
+            return self._inter_num[stages] / den
+        pair = self._pair_flat.take(idx, axis=1)    # (tp, ..., m, dp, dp)
+        same = self._same_flat.take(idx)            # symmetric
+        # A data rank's node population, as a float like the
+        # reference's ``k`` once it meets a bandwidth.
+        k = _add(same, axis=-1, dtype=np.float64)   # (..., m, dp)
+
+        # Intra-node phase: per data rank, the slowest link to a
+        # same-node peer (+inf masks the other pairs, the diagonal is
+        # +inf); the member attaining the node minimum reproduces the
+        # reference's per-node term, the rest are dominated.  A lone
+        # member has ``k == 1`` and contributes 0.
+        rowmin = _min(np.where(same, pair, np.inf), axis=-2)
+        intra = _max(((k - 1.0) * self._msg_dp4[stages][..., None])
+                     / ((k * rowmin) * GB), axis=-1)  # (tp, ..., m)
+
+        # Inter-node phase: leaders are each node's first member in
+        # data-rank order (the first same-node entry of a row is the
+        # member itself); the ring runs over the links between leaders.
+        leader = same.argmax(axis=-1) == self._ranks  # (..., m, dp)
+        kn = _add(leader, axis=-1, dtype=np.float64)  # (..., m)
+        both = leader[..., :, None] & leader[..., None, :]
+        inter_bw = _min(np.where(both, pair, np.inf), axis=(-2, -1))
+        inter = ((kn - 1.0) * self._msg_dp2[stages]) \
+            / ((kn * inter_bw) * GB)
+        return _max(intra + inter, axis=0)
+
+    def _combine(self, tp_worst, chain, stage_t):
+        """The epilogue: partial terms to latency, elementwise over rows.
+
+        ``C + T_TP_com`` is set by the straggler TP group, Eq. (5) by
+        the slowest chain, and Eq. (6) by stage 0's ring or — when
+        ``dp_exposure_aware`` — a later stage's ring net of its drain
+        slack of ``stage`` backward passes.
+        """
+        c_tp = self._c
+        if tp_worst is not None:
+            c_tp = self._c + self._tp_factor * tp_worst
+        t_pp = 0.0 if chain is None else _last_max(chain)
+        t_dp = 0.0
+        if stage_t is not None:
+            backward_slack = 2.0 * c_tp / 3.0
+            if np.ndim(backward_slack):         # one slack per batch row
+                backward_slack = backward_slack[:, None]
+            # Stage 0 subtracts ``0.0 * slack == 0.0`` (the slack of
+            # positive bandwidths is finite): its ring, unchanged.
+            adj = stage_t - self._drain_steps * backward_slack
+            t_dp = _last_max(adj) / self._eff
+        pp = self.grid.pp
+        if self.options.hidden_critical_path:
+            # Schedule-aware Eq. (3)-(4): the schedule's analytic
+            # critical time plus T_DP.  For 1F1B the resolved function
+            # computes ``T_bubble * (n_mb / pp) + T_straggler``
+            # verbatim, keeping the kernel bit-identical to the
+            # pre-schedule implementation.
+            return self._critical_time(pp, self._n_mb, c_tp, t_pp) + t_dp
+        # Eq. (1): the inter-stage communication is paid only once.
+        return (self._n_mb - 1) * c_tp + pp * c_tp + t_pp + t_dp
 
     # --------------------------------------------------- incremental path
 
@@ -422,45 +480,31 @@ class LatencyKernel:
             inc.bind(perm)
         return inc.propose(apply_move(perm, move)) - inc.value
 
-    def _finish(self, pp: int, c_tp: float, t_pp: float,
-                t_dp: float) -> float:
-        if self.options.hidden_critical_path:
-            # Schedule-aware Eq. (3)-(4): the schedule's analytic
-            # critical time plus T_DP.  For 1F1B the resolved function
-            # computes ``T_bubble * (n_mb / pp) + T_straggler``
-            # verbatim, keeping the kernel bit-identical to the
-            # pre-schedule implementation.
-            return self._critical_time(pp, self._n_mb, c_tp, t_pp) + t_dp
-        # Eq. (1): the inter-stage communication is paid only once.
-        return (self._n_mb - 1) * c_tp + pp * c_tp + t_pp + t_dp
-
 
 class IncrementalEvaluator:
     """Exact delta evaluation over single-move perturbations.
 
     The evaluator caches the permutation-dependent *partial terms* of
-    one bound permutation:
+    one bound permutation, as :meth:`LatencyKernel._terms` returns
+    them:
 
-    * ``t_tp`` — the TP straggler vector over the stage-0/last-stage
-      block positions (``None`` when ``tp == 1``);
-    * ``chain_tot`` — the accumulated pipeline-chain sum per
-      ``(tensor rank, data rank)`` lane, shape ``(tp, dp)`` (``None``
-      when ``pp == 1``);
-    * ``stage_t`` — the data-parallel ring term per exposure-aware
-      stage, shape ``(ns,)`` (``None`` when ``dp == 1``).
+    * the TP straggler time (``None`` when ``tp == 1``);
+    * the pipeline-chain time per data-rank lane, shape ``(dp,)``
+      (``None`` when ``pp == 1``);
+    * the data-parallel ring term per exposure-aware stage, shape
+      ``(ns,)`` (``None`` when ``dp == 1``).
 
     :meth:`propose` recomputes only the components a candidate
     permutation touches.  Exactness rests on component independence:
     each partial term depends on a disjoint slice of the permutation
-    and is recomputed *whole*, with the same expressions in the same
-    order as :meth:`LatencyKernel.evaluate_perm` (a touched chain lane
-    re-runs its full sequential ``add.accumulate``; a touched stage
-    re-runs its full ring reduction), and the scalar epilogue combines
-    the cached floats exactly as the full evaluation would.  The
-    per-component results are therefore bit-identical to the full
-    re-score's, and so is their combination — which is what lets
-    :func:`repro.core.annealing.anneal_mapping` run this path by
-    default without perturbing its trajectory.
+    and is recomputed *whole* by the kernel's own term function (a
+    touched chain lane re-runs its full sequential ``add.accumulate``;
+    a touched stage re-runs its full ring reduction), and the kernel's
+    epilogue combines the cached floats exactly as the full evaluation
+    would.  The per-component results are therefore bit-identical to
+    the full re-score's, and so is their combination — which is what
+    lets :func:`repro.core.annealing.anneal_mapping` run this path
+    without perturbing its trajectory.
 
     Usage is a bind/propose/accept cycle::
 
@@ -478,9 +522,7 @@ class IncrementalEvaluator:
         self._k = kernel
         self.perm: "np.ndarray | None" = None
         self.value: float = 0.0
-        self._t_tp = None
-        self._chain_tot = None
-        self._stage_t = None
+        self._parts = None
         self._cand = None
         self._cand_perm = None
 
@@ -488,19 +530,11 @@ class IncrementalEvaluator:
 
     def bind(self, perm: np.ndarray) -> float:
         """Fully evaluate ``perm`` and cache its partial terms."""
-        k = self._k
-        pp, dp = k.grid.pp, k.grid.dp
         perm = np.array(perm, dtype=np.int64)
         self.perm = perm
         self._cand = None
-        self._t_tp = self._tp_vector(perm) if k.grid.tp > 1 else None
-        slots = perm.reshape(pp, dp)
-        self._chain_tot = self._chain_lanes(slots, slice(None)) \
-            if pp > 1 else None
-        self._stage_t = self._dp_stage_terms(
-            slots, np.arange(k._n_dp_stages)) if dp > 1 else None
-        self.value = self._combine(self._t_tp, self._chain_tot,
-                                   self._stage_t)
+        self._parts = self._k._terms(perm)
+        self.value = float(self._k._combine(*self._parts))
         return self.value
 
     def propose(self, perm: np.ndarray,
@@ -517,32 +551,32 @@ class IncrementalEvaluator:
         if touched is None:
             touched = np.flatnonzero(perm != self.perm)
         if touched.size == 0:
-            self._cand = (self._t_tp, self._chain_tot, self._stage_t,
-                          self.value)
+            self._cand = (self._parts, self.value)
             self._cand_perm = perm
             return self.value
 
-        t_tp = self._t_tp
-        if t_tp is not None and k._tp_touch[touched].any():
-            t_tp = self._tp_vector(perm)
+        tp_worst, chain, stage_t = self._parts
+        if tp_worst is not None and k._tp_touch[touched].any():
+            tp_worst = k._tp_straggler(perm)
 
         slots = perm.reshape(pp, dp)
-        chain_tot = self._chain_tot
-        if chain_tot is not None:
+        scaled = slots * k._n_slots
+        if chain is not None:
             cols = np.unique(touched % dp)
-            chain_tot = chain_tot.copy()
-            chain_tot[:, cols] = self._chain_lanes(slots, cols)
+            chain = chain.copy()
+            chain[cols] = k._chain_lanes(slots[:, cols], scaled[:, cols])
 
-        stage_t = self._stage_t
         if stage_t is not None:
             stages = np.unique(touched // dp)
             stages = stages[stages < k._n_dp_stages]
             if stages.size:
                 stage_t = stage_t.copy()
-                stage_t[stages] = self._dp_stage_terms(slots, stages)
+                stage_t[stages] = k._dp_stage_terms(
+                    slots[stages], scaled[stages], stages)
 
-        value = self._combine(t_tp, chain_tot, stage_t)
-        self._cand = (t_tp, chain_tot, stage_t, value)
+        terms = (tp_worst, chain, stage_t)
+        value = float(k._combine(*terms))
+        self._cand = (terms, value)
         self._cand_perm = perm
         return value
 
@@ -551,87 +585,9 @@ class IncrementalEvaluator:
         if self._cand is None:
             raise RuntimeError("no staged proposal to accept")
         self.perm[:] = self._cand_perm
-        self._t_tp, self._chain_tot, self._stage_t, self.value = self._cand
+        self._parts, self.value = self._cand
         self._cand = None
         self._cand_perm = None
-
-    # --------------------------------------------------------- components
-
-    def _tp_vector(self, perm: np.ndarray) -> np.ndarray:
-        """The TP straggler vector — same gather chain as the full path."""
-        k = self._k
-        sel = np.take(k._tp_min_bw, np.take(perm, k._tp_blocks))
-        return k._tp_layers4 * (k._tp_coef / (sel * GB))
-
-    def _chain_lanes(self, slots: np.ndarray, cols) -> np.ndarray:
-        """Accumulated chain sums of the selected data-rank lanes.
-
-        Each lane's hops are gathered and sequentially accumulated in
-        full, exactly as the full evaluation's ``add.accumulate`` does
-        for that lane — lanes are independent, so recomputing a subset
-        reproduces the full path's floats for those columns.
-        """
-        k = self._k
-        sub = slots[:, cols]
-        hop = np.take(k._pp_hop_flat,
-                      sub[:-1] * k._n_slots + sub[1:], axis=1)
-        return np.add.accumulate(hop, axis=1)[:, -1]
-
-    def _dp_stage_terms(self, slots: np.ndarray,
-                        stage_idx: np.ndarray) -> np.ndarray:
-        """Ring terms of the selected stages — the full path, sliced.
-
-        A stage's term reads only that stage's ``dp`` slots, and every
-        reduction in :meth:`LatencyKernel.evaluate_perm`'s DP section
-        is per-stage independent, so evaluating a stage subset yields
-        the identical floats.
-        """
-        k = self._k
-        tp, dp = k.grid.tp, k.grid.dp
-        m = len(stage_idx)
-        sub = slots[stage_idx]                                # (m, dp)
-        pair = np.take(k._pair_flat,
-                       (sub * k._n_slots)[:, :, None] + sub[:, None, :],
-                       axis=1)                                # (tp, m, dp, dp)
-        if k._one_slot_per_node:
-            inter_bw = pair.reshape(tp, m, -1).min(axis=2)
-            inter = k._inter_num_all[stage_idx][None] \
-                / ((dp * inter_bw) * GB)
-            return inter.max(axis=0)
-        nodes = np.take(k._node_of_slot, sub)                 # (m, dp)
-        same = nodes[:, :, None] == nodes[:, None, :]
-        rowmin = np.where(same[None], pair, np.inf).min(axis=3)
-        kk = same.sum(axis=2)                                 # (m, dp)
-        intra_num = (4.0 * (kk - 1)) * k._msg_dp[stage_idx, None]
-        intra = (intra_num[None] / ((kk[None] * rowmin) * GB)).max(axis=2)
-        leader = ~((same & k._tril).any(axis=2))              # (m, dp)
-        kn = leader.sum(axis=1)                               # (m,)
-        pairmask = leader[:, :, None] & leader[:, None, :]
-        masked = np.where(pairmask[None], pair, np.inf)
-        inter_bw = masked.reshape(tp, m, -1).min(axis=2)
-        inter_num = (2.0 * (kn - 1)) * k._msg_dp[stage_idx]
-        inter = inter_num[None] / ((kn[None] * inter_bw) * GB)
-        return (intra + inter).max(axis=0)
-
-    def _combine(self, t_tp, chain_tot, stage_t) -> float:
-        """The scalar epilogue over cached partials — the spec's, verbatim."""
-        k = self._k
-        pp = k.grid.pp
-        c_tp = k._c
-        if t_tp is not None:
-            c_tp = k._c + k._tp_factor * float(t_tp.max())
-        t_pp = 0.0
-        if chain_tot is not None:
-            t_pp = float(chain_tot.max())
-        t_dp = 0.0
-        if stage_t is not None:
-            exposed = float(stage_t[0])
-            if k._n_dp_stages > 1:
-                backward_slack = 2.0 * c_tp / 3.0
-                adj = stage_t[1:] - k._drain_steps * backward_slack
-                exposed = max(exposed, float(adj.max()))
-            t_dp = exposed / k._eff
-        return k._finish(pp, c_tp, t_pp, t_dp)
 
 
 def pipette_kernel(model: TransformerConfig, config: ParallelConfig,

@@ -163,6 +163,53 @@ class TestWorkerDedication:
         assert run() == run()
 
 
+class TestKernelIsPlanNeutral:
+    def test_search_matches_reference_annealer_over_scalar_model(
+            self, monkeypatch):
+        """The ranked payload of a search is the reference search's.
+
+        The same search is run twice on a mid-range preset (8-GPU
+        nodes, so the candidates reach both data-parallel ring paths):
+        once as shipped, refining with :func:`anneal_mapping` over the
+        compiled kernel, and once refining with
+        :func:`anneal_mapping_reference` over the scalar
+        :func:`candidate_latency`.  Every ranked entry — configuration,
+        mapping and estimate — must serialize identically.
+        """
+        from repro.cluster import NetworkProfiler
+        from repro.cluster.presets import make_fabric, mid_range_cluster
+        from repro.core import configurator as configurator_module
+        from repro.core.annealing import anneal_mapping_reference
+        from repro.core.configurator import candidate_latency
+        from repro.model import get_model
+        from repro.profiling import profile_compute
+
+        cluster = mid_range_cluster(2)
+        model = get_model("gpt-toy")
+        bandwidth = NetworkProfiler().profile(
+            make_fabric(cluster, seed=4), seed=5).bandwidth
+        profile = profile_compute(model, cluster, seed=6)
+        options = PipetteOptions(sa=SAOptions(max_iterations=60),
+                                 sa_top_k=0, seed=2)
+
+        def ranked_payload():
+            result = PipetteConfigurator(cluster, model, bandwidth, profile,
+                                         options=options).search(32)
+            return [entry.to_payload() for entry in result.ranked]
+
+        fast = ranked_payload()
+        monkeypatch.setattr(
+            configurator_module, "candidate_kernel",
+            lambda ctx, config:
+                lambda mapping: candidate_latency(ctx, config, mapping))
+        monkeypatch.setattr(configurator_module, "anneal_mapping",
+                            anneal_mapping_reference)
+        reference = ranked_payload()
+
+        assert fast == reference
+        assert {entry["config"]["tp"] for entry in fast} == {1, 2, 4, 8}
+
+
 class TestEstimateLatency:
     def test_default_mapping_is_sequential(self, configurator, tiny_cluster):
         config = ParallelConfig(pp=2, tp=4, dp=2, micro_batch=2,
