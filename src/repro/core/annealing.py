@@ -59,6 +59,35 @@ Either loop can additionally collect a **portfolio** — the
 accepted moves: no extra objective calls, no RNG draws.  Elastic
 re-planning warm-starts from these survivors
 (:mod:`repro.service.replan`).
+
+Three devices make each iteration cheaper without changing any result
+(every :class:`SAResult` field, every plan):
+
+* **An exact move stream.** The fast loops draw through
+  :class:`MoveStream`, which reproduces ``Generator.integers(n)``,
+  ``Generator.choice(n, 2, replace=False)`` and ``Generator.random()``
+  draw for draw from raw PCG64 words at a fraction of their call
+  overhead — the draws themselves are NumPy's documented algorithms
+  (Lemire's bounded integers, Floyd's sampling with its shuffle, the
+  53-bit double).  :func:`_propose` and
+  :func:`anneal_mapping_reference` keep calling ``Generator`` and are
+  the oracle the stream is tested against.
+* **A small-grid memo.** On grids of at most :data:`MEMO_MAX_BLOCKS`
+  blocks the sequential loop keeps each kernel value by
+  ``perm.tobytes()`` for the length of one anneal.  A kernel is a pure
+  function of the permutation, so a hit returns the very float a
+  re-score would; only the number of kernel calls falls.  There are at
+  most ``8! = 40320`` such permutations, so the memo is bounded by
+  construction; larger grids rarely repeat a state and skip it, and
+  plain callables (which may count calls or vary) are never memoized.
+* **A bounded portfolio pool.** The pool keeps only the
+  ``portfolio_k`` smallest distinct ``(value, bytes)`` states, which
+  always contain everything :func:`_build_portfolio` selects (see
+  :class:`_VisitPool`), so a wall-clock-budgeted anneal no longer
+  grows one entry per distinct accepted state.
+
+The kernel adds its own permutation-invariant shortcuts
+(:mod:`repro.core.latency_kernel`); the loop is unchanged by them.
 """
 
 from __future__ import annotations
@@ -81,6 +110,10 @@ DEFAULT_MOVES: tuple[str, ...] = ("migrate", "swap", "reverse")
 #: ``perf_counter`` syscall per move would be measurable overhead.
 TIME_CHECK_INTERVAL: int = 32
 
+#: Grids of at most this many blocks memoize objective values per
+#: anneal (at most ``8! = 40320`` states, so the memo stays small).
+MEMO_MAX_BLOCKS: int = 8
+
 
 @dataclass(frozen=True)
 class SAOptions:
@@ -100,7 +133,7 @@ class SAOptions:
             permissive regardless of the objective's scale.
         moves: subset of ``{"migrate", "swap", "reverse"}`` (ablations
             disable individual moves).
-        seed: RNG seed for the move stream.
+        seed: RNG seed for the move stream, a non-negative ``int``.
         batch_size: proposals scored per objective call.  ``1`` (the
             default) is the paper's sequential loop, bit-identical to
             :func:`anneal_mapping_reference`; ``> 1`` selects the
@@ -155,6 +188,13 @@ class SAOptions:
         if self.delta_min_slots < 0:
             raise ValueError(
                 f"delta_min_slots must be >= 0, got {self.delta_min_slots}")
+        if isinstance(self.seed, bool) \
+                or not isinstance(self.seed, (int, np.integer)):
+            raise TypeError(
+                f"seed must be a non-negative int, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative int, got {self.seed}")
 
     def with_seed(self, seed: int) -> "SAOptions":
         """These options with a different move-stream seed.
@@ -217,50 +257,181 @@ class SAResult:
         return 1.0 - self.value / self.initial_value
 
 
+class MoveStream:
+    """The anneal's draws, reproduced exactly from raw PCG64 words.
+
+    The fast loops draw through this stream rather than through
+    :class:`numpy.random.Generator` methods, which cost microseconds
+    each in argument handling.  Each method reproduces the named
+    ``Generator`` call draw for draw on the same bit generator:
+
+    * :meth:`integers` is ``Generator.integers(n)``: one 32-bit draw
+      scaled into ``[0, n)`` by Lemire's multiply-shift, redrawn while
+      the low word falls below ``2**32 % n`` (no draw at all for
+      ``n == 1``);
+    * :meth:`pair` is ``Generator.choice(n, 2, replace=False)``:
+      Floyd's algorithm (bounded draws over ``n - 1`` and ``n`` values;
+      a repeat of the first becomes ``n - 1``), then one bounded draw
+      over ``2`` for the shuffle that swaps the two when it is ``0``;
+    * :meth:`random` is ``Generator.random()``: ``(word >> 11) * 2**-53``.
+
+    A 32-bit draw takes the low half of a fresh 64-bit word and keeps
+    the high half for the next 32-bit draw, as PCG64's ``next_uint32``
+    does; a 64-bit draw never touches that buffered half.  Words are
+    pulled in blocks through ``bit_generator.random_raw``, so the bit
+    generator itself runs ahead of the stream: it must not be drawn
+    from directly once a stream wraps it.  NumPy keeps raw bit-generator
+    streams stable across versions, which its ``Generator`` method
+    algorithms are not, so a trajectory drawn here does not depend on
+    how ``Generator`` is implemented.  ``tests/test_annealing_exactness.py``
+    pins every method against ``Generator`` over many seeds.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_pos", "_half")
+
+    #: Raw 64-bit words fetched per ``random_raw`` call.
+    BLOCK = 256
+
+    def __init__(self, bit_generator: np.random.BitGenerator) -> None:
+        state = bit_generator.state
+        if state.get("bit_generator") != "PCG64":
+            raise TypeError("MoveStream reproduces PCG64 streams only, got "
+                            f"{state.get('bit_generator')!r}")
+        self._bitgen = bit_generator
+        self._words: "list[int]" = []
+        self._pos = 0
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _word(self) -> int:
+        """The next raw 64-bit word."""
+        pos = self._pos
+        if pos == len(self._words):
+            self._words = self._bitgen.random_raw(self.BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def _next32(self) -> int:
+        """The next 32-bit draw: a buffered high half, else a fresh low."""
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        # ``_word`` inlined: this is the hottest call of the stream.
+        pos = self._pos
+        if pos == len(self._words):
+            self._words = self._bitgen.random_raw(self.BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        word = self._words[pos]
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def _bounded(self, high: int) -> int:
+        """A uniform draw from ``[0, high]`` (``high < 2**32``)."""
+        if high == 0:
+            return 0
+        if high == 0xFFFFFFFF:
+            return self._next32()
+        span = high + 1
+        m = self._next32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (0x100000000 - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * span
+        return m >> 32
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for ``1 <= n <= 2**32``."""
+        if not 1 <= n <= 0x100000000:
+            raise ValueError(f"n must lie in [1, 2**32], got {n}")
+        return self._bounded(n - 1)
+
+    def pair(self, n: int) -> "tuple[int, int]":
+        """``Generator.choice(n, 2, replace=False)``, ``2 <= n <= 2**32``.
+
+        The pair comes back in ``Generator``'s order, not sorted.
+        """
+        if not 2 <= n <= 0x100000000:
+            raise ValueError(f"n must lie in [2, 2**32], got {n}")
+        first = self._bounded(n - 2)
+        second = self._bounded(n - 1)
+        if second == first:
+            second = n - 1
+        if self._bounded(1) == 0:
+            return second, first
+        return first, second
+
+    def random(self) -> float:
+        """``Generator.random()``: a double in ``[0, 1)``."""
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+
 def _propose_into(out: np.ndarray, perm: np.ndarray, move: str,
-                  rng: np.random.Generator) -> None:
+                  stream: MoveStream) -> None:
     """Apply one move of ``perm`` into the scratch buffer ``out``.
 
     ``out`` must be a distinct buffer of the same shape; it is fully
-    overwritten.  Draws from ``rng`` in exactly the order the original
-    copy-returning implementation did, so move streams are
-    reproducible across both.
+    overwritten.  Draws from ``stream`` exactly what :func:`_propose`
+    draws from a ``Generator`` on the same bit generator, and lands the
+    same permutation.
     """
     n = len(perm)
     out[:] = perm
     if n < 2:
         return
     if move == "swap":
-        i, j = rng.choice(n, size=2, replace=False)
+        i, j = stream.pair(n)
         out[i], out[j] = perm[j], perm[i]
     elif move == "migrate":
         # Remove the element at ``i`` and reinsert it at position ``j``
         # of the shortened string — realized as two slice shifts into
         # the scratch buffer instead of an np.delete + np.insert
         # allocation pair.
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
+        i = stream.integers(n)
+        j = stream.integers(n - 1)
         if j >= i:
             out[i:j] = perm[i + 1:j + 1]
         else:
             out[j + 1:i + 1] = perm[j:i]
         out[j] = perm[i]
     elif move == "reverse":
-        i, j = sorted(rng.choice(n + 1, size=2, replace=False))
+        i, j = stream.pair(n + 1)
+        if i > j:
+            i, j = j, i
         if j - i >= 2:
             out[i:j] = perm[i:j][::-1]
         else:
-            i2, j2 = rng.choice(n, size=2, replace=False)
+            i2, j2 = stream.pair(n)
             out[i2], out[j2] = perm[j2], perm[i2]
     else:
         raise ValueError(f"unknown move {move!r}")
 
 
 def _propose(perm: np.ndarray, move: str, rng: np.random.Generator) -> np.ndarray:
-    """Apply one move to a copy of the permutation (allocating form)."""
-    out = np.empty_like(perm)
-    _propose_into(out, perm, move, rng)
-    return out
+    """Apply one move to a copy of the permutation, drawing from ``rng``.
+
+    The ``Generator``-driven oracle of :func:`_propose_into`, used by
+    :func:`anneal_mapping_reference`: the move's indices come from the
+    original ``Generator`` calls and :func:`apply_move` applies them.
+    An empty reverse window (``j - i < 2``) falls back to a fresh swap.
+    """
+    n = len(perm)
+    if n < 2:
+        return np.array(perm, copy=True)
+    if move == "swap":
+        i, j = rng.choice(n, size=2, replace=False)
+        return apply_move(perm, ("swap", i, j))
+    if move == "migrate":
+        i = int(rng.integers(n))
+        return apply_move(perm, ("migrate", i, int(rng.integers(n - 1))))
+    if move == "reverse":
+        i, j = sorted(rng.choice(n + 1, size=2, replace=False))
+        if j - i >= 2:
+            return apply_move(perm, ("reverse", i, j))
+        i, j = rng.choice(n, size=2, replace=False)
+        return apply_move(perm, ("swap", i, j))
+    raise ValueError(f"unknown move {move!r}")
 
 
 def apply_move(perm: np.ndarray, move: "tuple[str, int, int]") -> np.ndarray:
@@ -337,19 +508,60 @@ def _probe_temperature(initial: Mapping, objective, base: float,
     return _temperature_from_spread(deltas, base)
 
 
-def _note_visit(pool: "dict[bytes, float] | None", perm: np.ndarray,
-                value: float) -> None:
-    """Record an accepted state in the portfolio pool (best value wins)."""
-    if pool is None:
-        return
-    key = perm.tobytes()
-    prev = pool.get(key)
-    if prev is None or value < prev:
-        pool[key] = value
+class _VisitPool:
+    """The ``k`` smallest distinct ``(value, bytes)`` accepted states.
+
+    Each state keeps the smallest value it was accepted with.
+    :func:`_build_portfolio` returns the best state and the ``k - 1``
+    smallest others by ``(value, bytes)``; all of them lie among the
+    ``k`` smallest states overall, so a state that falls out of those
+    ``k`` can never be selected, and dropping it keeps the pool's
+    memory bounded under a wall-clock budget without changing the
+    portfolio.  (A dropped state that comes back with a smaller value
+    re-enters as a new state, exactly as an unbounded pool would
+    lower its entry.)
+    """
+
+    __slots__ = ("k", "states", "_worst")
+
+    def __init__(self, k: int, perm: np.ndarray, value: float) -> None:
+        self.k = k
+        self.states: "dict[bytes, float]" = {perm.tobytes(): value}
+        self._worst: "tuple[float, bytes] | None" = None
+        self._refresh()
+
+    def note(self, perm: np.ndarray, value: float) -> None:
+        """Record an accepted state."""
+        key = perm.tobytes()
+        states = self.states
+        prev = states.get(key)
+        if prev is not None:
+            if value < prev:
+                states[key] = value
+                self._refresh()
+            return
+        if len(states) == self.k:
+            if (value, key) >= self._worst:
+                return
+            del states[self._worst[1]]
+        states[key] = value
+        self._refresh()
+
+    def _refresh(self) -> None:
+        if len(self.states) == self.k:
+            self._worst = max(
+                (value, key) for key, value in self.states.items())
+
+
+def _new_pool(options: SAOptions, perm: np.ndarray,
+              value: float) -> "_VisitPool | None":
+    """The portfolio pool of a loop, or ``None`` when only the best is kept."""
+    return _VisitPool(options.portfolio_k, perm, value) \
+        if options.portfolio_k > 1 else None
 
 
 def _build_portfolio(initial: Mapping, best_mapping: Mapping,
-                     best_value: float, pool: "dict[bytes, float] | None",
+                     best_value: float, pool: "_VisitPool | None",
                      portfolio_k: int) -> "list[tuple[Mapping, float]]":
     """Assemble ``SAResult.portfolio``: the best first, then runner-ups.
 
@@ -358,11 +570,12 @@ def _build_portfolio(initial: Mapping, best_mapping: Mapping,
     state is excluded from the pool scan so it never appears twice.
     """
     portfolio = [(best_mapping, best_value)]
-    if pool and portfolio_k > 1:
+    if pool is not None and portfolio_k > 1:
         best_key = np.asarray(
             best_mapping.block_to_slot, dtype=np.int64).tobytes()
         runners = sorted(
-            (value, key) for key, value in pool.items() if key != best_key)
+            (value, key) for key, value in pool.states.items()
+            if key != best_key)
         for value, key in runners[:portfolio_k - 1]:
             perm = np.frombuffer(key, dtype=np.int64).copy()
             portfolio.append(
@@ -438,7 +651,7 @@ def anneal_mapping(initial: Mapping,
     options = options or SAOptions()
     if options.batch_size > 1:
         return _anneal_mapping_batched(initial, objective, options, recorder)
-    rng = resolve_rng(options.seed)
+    stream = MoveStream(resolve_rng(options.seed).bit_generator)
     start = time.perf_counter()
 
     evaluate_perm = getattr(objective, "evaluate_perm", None)
@@ -454,7 +667,17 @@ def anneal_mapping(initial: Mapping,
         if make_incremental is not None \
                 and initial.grid.n_blocks >= options.delta_min_slots:
             inc = make_incremental()
-        evaluate = lambda perm: float(evaluate_perm(perm))  # noqa: E731
+        if initial.grid.n_blocks <= MEMO_MAX_BLOCKS:
+            memo: "dict[bytes, float]" = {}
+
+            def evaluate(perm: np.ndarray) -> float:
+                key = perm.tobytes()
+                value = memo.get(key)
+                if value is None:
+                    value = memo[key] = float(evaluate_perm(perm))
+                return value
+        else:
+            evaluate = lambda perm: float(evaluate_perm(perm))  # noqa: E731
     else:
         def evaluate(perm: np.ndarray) -> float:
             return float(objective(initial.with_block_permutation(perm.copy())))
@@ -480,6 +703,8 @@ def anneal_mapping(initial: Mapping,
         return _degenerate_result(initial, current_value, start, recorder,
                                   options.portfolio_k)
 
+    moves = options.moves
+    n_moves = len(moves)
     temperature = options.initial_temperature
     if temperature is None:
         # Probe moves start from ``initial`` each time, replicating
@@ -487,8 +712,8 @@ def anneal_mapping(initial: Mapping,
         # arrays (same move stream, same spread formula).
         deltas = []
         for _ in range(TEMPERATURE_PROBES):
-            move = options.moves[int(rng.integers(len(options.moves)))]
-            _propose_into(scratch, current, move, rng)
+            move = moves[stream.integers(n_moves)]
+            _propose_into(scratch, current, move, stream)
             deltas.append(abs(propose_value(scratch) - current_value))
         temperature = _temperature_from_spread(deltas, current_value)
         setup_evaluations += TEMPERATURE_PROBES
@@ -498,8 +723,7 @@ def anneal_mapping(initial: Mapping,
             initial_value, evaluations=setup_evaluations,
             delta_evaluations=setup_evaluations - 1 if inc is not None else 0)
 
-    pool = {current.tobytes(): current_value} \
-        if options.portfolio_k > 1 else None
+    pool = _new_pool(options, current, current_value)
 
     iterations = accepted = 0
     exit_reason = "iteration_budget"
@@ -512,13 +736,13 @@ def anneal_mapping(initial: Mapping,
                 and time.perf_counter() - start >= options.time_limit_s:
             exit_reason = "time_limit"
             break
-        move = options.moves[int(rng.integers(len(options.moves)))]
-        _propose_into(scratch, current, move, rng)
+        move = moves[stream.integers(n_moves)]
+        _propose_into(scratch, current, move, stream)
         value = propose_value(scratch)
         delta = value - current_value
         accepted_move = delta <= 0.0 or (
             temperature > 0.0
-            and rng.random() < math.exp(-delta / temperature))
+            and stream.random() < math.exp(-delta / temperature))
         if accepted_move:
             if inc is not None:
                 inc.accept()
@@ -529,7 +753,8 @@ def anneal_mapping(initial: Mapping,
                 best[:] = current
                 best_value = value
                 history.append(best_value)
-            _note_visit(pool, current, value)
+            if pool is not None:
+                pool.note(current, value)
         if recorder is not None:
             recorder.sample(iterations, temperature, best_value,
                             accepted_move, move=move,
@@ -573,7 +798,7 @@ def _anneal_mapping_batched(initial: Mapping,
     why the latter can run ahead.  The wall clock is polled once per
     round.
     """
-    rng = resolve_rng(options.seed)
+    stream = MoveStream(resolve_rng(options.seed).bit_generator)
     start = time.perf_counter()
 
     evaluate_perm = getattr(objective, "evaluate_perm", None)
@@ -607,8 +832,8 @@ def _anneal_mapping_batched(initial: Mapping,
     if temperature is None:
         deltas = []
         for _ in range(TEMPERATURE_PROBES):
-            move = options.moves[int(rng.integers(len(options.moves)))]
-            _propose_into(scratch, current, move, rng)
+            move = options.moves[stream.integers(len(options.moves))]
+            _propose_into(scratch, current, move, stream)
             deltas.append(abs(evaluate(scratch) - current_value))
         temperature = _temperature_from_spread(deltas, current_value)
         setup_evaluations += TEMPERATURE_PROBES
@@ -616,8 +841,7 @@ def _anneal_mapping_batched(initial: Mapping,
     if recorder is not None:
         recorder.start(initial_value, evaluations=setup_evaluations)
 
-    pool = {current.tobytes(): current_value} \
-        if options.portfolio_k > 1 else None
+    pool = _new_pool(options, current, current_value)
 
     batch = np.empty((options.batch_size, len(current)), dtype=np.int64)
     batch_moves: "list[str]" = [""] * options.batch_size
@@ -636,9 +860,9 @@ def _anneal_mapping_batched(initial: Mapping,
         if options.max_iterations is not None:
             k = min(k, options.max_iterations - iterations)
         for b in range(k):
-            move = options.moves[int(rng.integers(len(options.moves)))]
+            move = options.moves[stream.integers(len(options.moves))]
             batch_moves[b] = move
-            _propose_into(batch[b], current, move, rng)
+            _propose_into(batch[b], current, move, stream)
         if evaluate_batch is not None:
             values = np.asarray(evaluate_batch(batch[:k]), dtype=np.float64)
         else:
@@ -649,7 +873,7 @@ def _anneal_mapping_batched(initial: Mapping,
             delta = value - current_value
             accepted_move = delta <= 0.0 or (
                 temperature > 0.0
-                and rng.random() < math.exp(-delta / temperature))
+                and stream.random() < math.exp(-delta / temperature))
             if accepted_move:
                 current[:] = batch[b]
                 current_value = value
@@ -658,7 +882,8 @@ def _anneal_mapping_batched(initial: Mapping,
                     best[:] = current
                     best_value = value
                     history.append(best_value)
-                _note_visit(pool, current, value)
+                if pool is not None:
+                    pool.note(current, value)
             if recorder is not None:
                 recorder.sample(iterations, temperature, best_value,
                                 accepted_move, move=batch_moves[b])
@@ -694,10 +919,11 @@ def anneal_mapping_reference(initial: Mapping,
     """The pre-kernel annealing loop, kept as an executable spec.
 
     One ``Mapping`` per proposal, one ``perf_counter`` per move, the
-    original copy-returning ``_propose`` — exactly the implementation
-    :func:`anneal_mapping` replaced.  The seed-identity tests and
-    ``benchmarks/bench_annealing_kernel.py`` pin the fast path against
-    this function; it is not meant for production callers.
+    copy-returning, ``Generator``-driven :func:`_propose` — exactly the
+    implementation :func:`anneal_mapping` replaced.  The seed-identity
+    tests and ``benchmarks/bench_annealing_kernel.py`` pin the fast
+    path against this function; it is not meant for production
+    callers.
     """
     options = options or SAOptions()
     rng = resolve_rng(options.seed)

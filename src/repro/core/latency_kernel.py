@@ -54,6 +54,25 @@ tensor rank, so those keep their tensor-rank axis; the ring's
 slot-pair same-node table is built once, so a call no longer gathers
 node ids or compares them.
 
+**Permutation-invariant terms.** Two cases need no per-call work at
+all, because a maximum or minimum over a *set* of slots is exact in
+any order:
+
+* with ``pp <= 2`` the stage-0 and last-stage blocks are every block,
+  so the TP straggler is the slowest slot whatever the permutation,
+  and ``__init__`` keeps that one value;
+* with ``pp == 1`` and one slot per node (``tp == gpus_per_node``)
+  every term ranges over all slots — the straggler as above, no chain,
+  and one ring whose slowest link is the minimum over every ordered
+  slot pair — so the whole objective is a constant, computed once by
+  the ordinary terms and epilogue on the identity permutation and
+  returned by :meth:`LatencyKernel.evaluate_perm` and
+  :meth:`LatencyKernel.evaluate_batch`.  An anneal on such a grid
+  accepts every move.
+
+The multi-slot-per-node ring is not invariant (its leaders are each
+node's first member in data-rank order), and neither is a chain.
+
 **Equivalence guarantee.** The kernel is not merely close to the
 reference model: every floating-point expression mirrors the reference
 implementation's operation order (same products, same quotients, same
@@ -69,7 +88,7 @@ what lets :func:`repro.core.annealing.anneal_mapping` replay the exact
 accept/reject trajectory of the pre-kernel annealer for the same
 :class:`~repro.core.annealing.SAOptions` seed — cached plans, store
 round-trips, and gateway coalescing see byte-identical results, just
-computed one to two orders of magnitude faster: 14-43x the reference
+computed one to two orders of magnitude faster: 15-46x the reference
 on the Table 1 shapes, about 1.7x the kernel before the tensor-rank
 collapse on the ``tp == 8`` ones (``benchmarks/bench_annealing_kernel.py``;
 figures in the README).
@@ -229,6 +248,10 @@ class LatencyKernel:
             # touch neither the first nor the last stage.
             self._tp_touch = np.zeros(n_slots, dtype=bool)
             self._tp_touch[self._tp_blocks] = True
+            # With at most two stages those positions are every block,
+            # so the straggler is the slowest slot whatever the order.
+            self._tp_worst = self._tp_time[self._tp_time.argmax()] \
+                if pp <= 2 else None
 
         # ``pair_bw[y, s1, s2]``: bandwidth between tensor rank ``y``'s
         # GPUs of slots ``s1`` and ``s2`` — the table both the pipeline
@@ -282,6 +305,15 @@ class LatencyKernel:
                 self._msg_dp4 = 4.0 * msg_dp
                 self._msg_dp2 = 2.0 * msg_dp
 
+        # ---- permutation-invariant objective -------------------------
+        # One stage of whole-node slots: the TP straggler, the only ring
+        # and its slowest link each range over every slot, so the value
+        # is the same for every permutation (see the module docstring).
+        self._constant = None
+        if pp == 1 and tp == cluster.gpus_per_node:
+            self._constant = float(
+                self._combine(*self._terms(np.arange(n_slots))))
+
     # ------------------------------------------------------------- evaluation
 
     def __call__(self, mapping: Mapping) -> float:
@@ -299,6 +331,8 @@ class LatencyKernel:
         the annealing loop guarantee that by construction (the move set
         preserves permutations), so no per-call check is paid.
         """
+        if self._constant is not None:
+            return self._constant
         return float(self._combine(*self._terms(np.asarray(perm))))
 
     def evaluate_batch(self, perms: np.ndarray) -> np.ndarray:
@@ -321,9 +355,12 @@ class LatencyKernel:
                 f"expected a (K, {self.grid.n_blocks}) batch of "
                 f"permutations, got shape {perms.shape}"
             )
-        # A one-block grid has no permutation-dependent term, so its
-        # value comes back scalar; ``full`` broadcasts it over the rows.
-        return np.full(perms.shape[0], self._combine(*self._terms(perms)))
+        # A permutation-invariant objective (a one-block grid among
+        # them) comes back scalar; ``full`` broadcasts it over the rows.
+        value = self._constant
+        if value is None:
+            value = self._combine(*self._terms(perms))
+        return np.full(perms.shape[0], value)
 
     # -------------------------------------------------------------- terms
 
@@ -349,7 +386,13 @@ class LatencyKernel:
         )
 
     def _tp_straggler(self, perm: np.ndarray):
-        """Slowest TP all-reduce over the stage-0 and last-stage blocks."""
+        """Slowest TP all-reduce over the stage-0 and last-stage blocks.
+
+        With at most two stages that is the hoisted scalar, which
+        broadcasts over any batch rows in :meth:`_combine`.
+        """
+        if self._tp_worst is not None:
+            return self._tp_worst
         return _last_max(
             self._tp_time.take(perm.take(self._tp_blocks, axis=-1)))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.annealing import (
+    MoveStream,
     SAOptions,
     _propose,
     _propose_into,
@@ -71,33 +72,37 @@ class TestMoves:
 
     @pytest.mark.parametrize("move", ["migrate", "swap", "reverse"])
     def test_scratch_form_matches_allocating_form(self, move):
-        """``_propose_into`` draws the same stream and lands the same
-        permutations as the copy-returning ``_propose``."""
-        rng_a = resolve_rng(17)
-        rng_b = resolve_rng(17)
+        """``_propose_into`` on a ``MoveStream`` draws the same stream
+        and lands the same permutations as the ``Generator``-driven
+        ``_propose``."""
+        rng = resolve_rng(17)
+        stream = MoveStream(resolve_rng(17).bit_generator)
         perm = resolve_rng(4).permutation(9)
         scratch = np.empty_like(perm)
         for _ in range(200):
-            expected = _propose(perm, move, rng_a)
-            _propose_into(scratch, perm, move, rng_b)
+            expected = _propose(perm, move, rng)
+            _propose_into(scratch, perm, move, stream)
             assert np.array_equal(scratch, expected)
             perm = expected
+        assert stream.random() == rng.random()
 
     def test_scratch_migrate_never_allocates_views_of_source(self):
         """The scratch buffer is fully rewritten; the source is untouched."""
         rng = resolve_rng(0)
+        stream = MoveStream(resolve_rng(0).bit_generator)
         perm = np.arange(12)
         before = perm.copy()
         scratch = np.full(12, -1)
         for _ in range(100):
-            _propose_into(scratch, perm, "migrate", rng)
+            _propose_into(scratch, perm, "migrate", stream)
+            assert np.array_equal(scratch, _propose(perm, "migrate", rng))
             assert sorted(scratch.tolist()) == list(range(12))
             assert np.array_equal(perm, before)
 
     def test_propose_into_rejects_unknown_move(self):
         with pytest.raises(ValueError, match="unknown move"):
             _propose_into(np.empty(4, dtype=np.int64), np.arange(4),
-                          "teleport", resolve_rng(0))
+                          "teleport", MoveStream(resolve_rng(0).bit_generator))
 
 
 class TestAnnealing:

@@ -119,6 +119,8 @@ def _example(preset, n_nodes, shape, options, schedule="1f1b"):
 # One slot per node (tp == 8) under a single-hop and a summed chain,
 # then several slots per node, each with every stage's ring charged.
 @example(_example("high-end", 4, (2, 8), 1))
+# One stage of whole-node slots: a permutation-invariant objective.
+@example(_example("mid-range", 4, (1, 8), 2))
 @example(_example("mid-range", 4, (4, 8), 2, "interleaved_1f1b"))
 @example(_example("mid-range", 2, (2, 4), 1))
 @example(_example("high-end", 2, (4, 2), 4, "gpipe"))
