@@ -10,15 +10,16 @@ a programmable service and PipeTune amortizes tuning across jobs:
   per-candidate work units over ``concurrent.futures`` pools;
 * :mod:`repro.service.replan` — elastic re-planning after node
   failures and bandwidth drift, warm-starting SA from the prior plan;
-* :mod:`repro.service.planner` — the front door: request batching,
-  in-flight dedup, cache, and event handling;
+* :mod:`repro.service.planner` — one cluster's planner: a synchronous
+  ``plan()`` over cache and search, plus elastic event handling;
 * :mod:`repro.service.store` — durable JSON-lines plan persistence,
   rehydrating the cache (epochs intact) across service restarts;
 * :mod:`repro.service.registry` — many named services behind one
-  router: pinned/spec-matched/cheapest-feasible planning, registry
-  level queueing/draining, per-cluster elastic events;
-* :mod:`repro.service.gateway` — the asyncio front door: concurrent
-  clients, in-flight coalescing, bounded per-cluster backpressure,
+  router: pinned/spec-matched/cheapest-feasible planning, per-cluster
+  elastic events;
+* :mod:`repro.service.gateway` — the asyncio front door and the only
+  request queue: concurrent clients, in-flight coalescing (the one
+  dedup point), bounded per-cluster backpressure,
   weighted-fair per-client lanes, drains off the event loop, elastic
   events fenced between batches;
 * :mod:`repro.service.metrics` — stdlib Prometheus-text-format
@@ -36,9 +37,11 @@ a programmable service and PipeTune amortizes tuning across jobs:
   front-end router (shard routing, event fan-out, aggregated
   ``/healthz`` + ``/metrics``, per-client admission quotas);
 * ``python -m repro.service`` — a small CLI over all of the above
-  (including the ``serve`` front ends: JSON lines over stdin or TCP,
-  HTTP with ``--http PORT``, and the multi-process ``fleet``
-  subcommand).
+  (including the ``serve`` front ends: JSON lines over stdin, HTTP
+  with ``--http PORT``, and the multi-process ``fleet`` subcommand).
+
+Every answer — from the service, the registry, or the gateway — is one
+:class:`~repro.service.planner.PlanResponse`.
 
 ``docs/ARCHITECTURE.md`` has the layer diagram and request lifecycle;
 ``docs/SERVING.md`` is the operator guide (schemas, metrics catalog,
@@ -65,7 +68,6 @@ from repro.service.fleet import (
 )
 from repro.service.gateway import (
     GatewayOverloadedError,
-    GatewayResponse,
     GatewayStats,
     PlanGateway,
 )
@@ -95,15 +97,8 @@ from repro.service.replan import (
     shrink_cluster,
     surviving_gpus,
 )
-from repro.service.planner import (
-    PlanningService,
-    PlanResponse,
-    PlanTicket,
-)
-from repro.service.registry import (
-    ClusterRegistry,
-    RoutedResponse,
-)
+from repro.service.planner import PlanningService, PlanResponse
+from repro.service.registry import ClusterRegistry
 from repro.service.shard import (
     DEFAULT_REPLICAS,
     HashRing,
@@ -136,7 +131,6 @@ __all__ = [
     "routing_key",
     "shard_segment_path",
     "GatewayOverloadedError",
-    "GatewayResponse",
     "GatewayStats",
     "PlanGateway",
     "HttpError",
@@ -161,9 +155,7 @@ __all__ = [
     "surviving_gpus",
     "PlanningService",
     "PlanResponse",
-    "PlanTicket",
     "ClusterRegistry",
-    "RoutedResponse",
     "SCHEMA_VERSION",
     "DurablePlanCache",
     "PlanStore",

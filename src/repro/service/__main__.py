@@ -1,28 +1,26 @@
 """Command-line front door of the planning service.
 
-Eight subcommands, each a small end-to-end story on a simulated
+Seven subcommands, each a small end-to-end story on a simulated
 cluster (swap the simulated fabric for a real profiling campaign to
 use them against physical machines):
 
 * ``plan``     — answer one planning request and print the ranking;
-* ``demo``     — serve a queued workload with duplicates, showing
-  caching, in-flight dedup, and (optionally) parallel search;
 * ``replan``   — fail a node and compare warm-started re-planning with
   the cold search;
 * ``registry`` — serve several named clusters at once: pinned and
   cheapest-feasible routing, per-cluster failure isolation;
-* ``serve``    — run the async gateway as a long-lived server: a
-  JSON-lines transport (stdin/stdout by default, TCP with ``--port``)
-  and/or an HTTP/1.1 front end (``--http PORT``) with ``POST
-  /v1/plan``, elastic-event routes, ``GET /healthz``, and a
-  Prometheus ``GET /metrics`` page — with in-flight coalescing,
-  per-cluster backpressure, and weighted-fair per-client lanes
-  across all transports (see ``docs/SERVING.md``).  ``--log-level``
-  selects the stderr JSON log threshold; ``--trace``/``--trace-dir``
-  turn on end-to-end plan tracing (``GET /v1/debug/traces``, span
-  dump files — see ``docs/OBSERVABILITY.md``).  With a socket
-  transport, SIGTERM/SIGINT drain gracefully: stop accepting, finish
-  in-flight plans, compact the durable stores, exit 0.
+* ``serve``    — run the async gateway as a long-lived server: JSON
+  lines over stdin/stdout by default, or an HTTP/1.1 front end
+  (``--http PORT``) with ``POST /v1/plan``, elastic-event routes,
+  ``GET /healthz``, and a Prometheus ``GET /metrics`` page — with
+  in-flight coalescing, per-cluster backpressure, and weighted-fair
+  per-client lanes on both transports (see ``docs/SERVING.md``).
+  ``--log-level`` selects the stderr JSON log threshold;
+  ``--trace``/``--trace-dir`` turn on end-to-end plan tracing (``GET
+  /v1/debug/traces``, span dump files — see
+  ``docs/OBSERVABILITY.md``).  Under HTTP, SIGTERM/SIGINT drain
+  gracefully: stop accepting, finish in-flight plans, compact the
+  durable stores, exit 0.
   ``--shard-index`` names this process's durable shard segments
   (``<cluster>.shard-<k>.jsonl``) — normally set by ``fleet``, not by
   hand;
@@ -40,9 +38,9 @@ use them against physical machines):
   --store-dir`` rehydrates per-cluster libraries at startup and
   exposes ``POST /v1/templates/warm``).
 
-``--store-path`` (or the registry's ``--store-dir``) makes the plan
-cache durable: re-running the same command answers previously planned
-requests as cache hits, across process restarts.
+``--store-path`` (or ``--store-dir`` for the multi-cluster commands)
+makes the plan cache durable: re-running the same command answers
+previously planned requests as cache hits, across process restarts.
 
 Run ``python -m repro.service <subcommand> --help`` for knobs, or use
 the ``pipette-plan`` console script installed by the package.
@@ -58,14 +56,12 @@ import json
 import os
 import signal
 import sys
-from functools import partial
 
 from repro.cluster import NetworkProfiler, make_fabric
 from repro.cluster.presets import high_end_cluster, mid_range_cluster
 from repro.core import PipetteOptions, SAOptions
 from repro.model import MODEL_CATALOG, get_model
 from repro.obs import TRACER, configure_logging, get_logger
-from repro.service.cache import PlanRequest
 from repro.service.executor import CandidateExecutor, available_workers
 from repro.service.fleet import (
     AdmissionController,
@@ -157,34 +153,6 @@ def cmd_plan(args) -> int:
     if response.best is not None:
         print(f"\nschedule: {response.best.config.schedule}")
     return 0 if response.best is not None else 1
-
-
-def cmd_demo(args) -> int:
-    """Serve a queued workload with duplicates (cache/dedup showcase)."""
-    service = _build_service(args)
-    options = _options(args)
-    models = [get_model(name) for name in args.models]
-    print(f"workload: {args.repeats} rounds over "
-          f"{[m.name for m in models]}, batch {args.global_batch}\n")
-
-    # Queue the whole workload: each round re-asks every model, so
-    # round one pays the searches and the rest ride the cache; queuing
-    # a round twice shows in-flight dedup.
-    for _ in range(args.repeats):
-        for model in models:
-            service.submit(service.request(model, args.global_batch,
-                                           options=options))
-            service.submit(service.request(model, args.global_batch,
-                                           options=options))
-        for response in service.drain():
-            best = response.best
-            print(f"  [{response.status:<7}] {best.config.describe():<24} "
-                  f"{best.estimated_latency_s:7.3f} s/iter  "
-                  f"({response.elapsed_s * 1e3:8.2f} ms)")
-    print("\nservice stats:")
-    for key, value in service.stats.items():
-        print(f"  {key}: {value}")
-    return 0
 
 
 def cmd_replan(args) -> int:
@@ -325,21 +293,21 @@ async def _serve_stream(gateway: PlanGateway, options: PipetteOptions,
                         read_line, write_line) -> None:
     """Pump request lines until EOF; answers land as they finish.
 
-    A reader failure (an over-long line, a reset connection) must not
-    abandon in-flight handlers: the started tasks are always gathered
-    so every accepted request gets its answer attempt before the
-    stream winds down.
+    A reader failure (e.g. undecodable input) must not abandon
+    in-flight handlers: the started tasks are always gathered so every
+    accepted request gets its answer attempt before the stream winds
+    down.
     """
     counter = itertools.count(1)
-    # Completed handlers remove themselves: a long-lived connection
-    # serves unboundedly many requests, so finished tasks must not
-    # accumulate for the stream's whole lifetime.
+    # Completed handlers remove themselves: a long-lived stream serves
+    # unboundedly many requests, so finished tasks must not accumulate
+    # for the stream's whole lifetime.
     tasks: "set[asyncio.Task]" = set()
     try:
         while True:
             try:
                 line = await read_line()
-            except (asyncio.LimitOverrunError, ValueError) as exc:
+            except ValueError as exc:
                 await write_line(json.dumps(
                     {"status": "error",
                      "error": f"unreadable request line ({exc})"},
@@ -357,24 +325,6 @@ async def _serve_stream(gateway: PlanGateway, options: PipetteOptions,
     finally:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-
-
-async def _serve_connection(gateway, options, reader, writer) -> None:
-    async def write_line(text: str) -> None:
-        writer.write((text + "\n").encode("utf-8"))
-        # Per-answer flow control: a slow reader parks the handler
-        # here instead of growing the transport buffer without bound.
-        await writer.drain()
-
-    async def read_line():
-        return (await reader.readline()).decode("utf-8")
-
-    try:
-        await _serve_stream(gateway, options, read_line, write_line)
-    except ConnectionResetError:
-        pass  # client went away; nothing left to answer
-    finally:
-        writer.close()
 
 
 def _parse_client_weights(entries) -> dict:
@@ -429,22 +379,50 @@ def _build_warmers(args, registry: ClusterRegistry
     return warmers
 
 
-async def _drain_servers(servers, front, line_tasks) -> None:
-    """Graceful shutdown of the socket transports, in order.
+async def _serve_http(args, gateway: PlanGateway, options: PipetteOptions,
+                      metrics: MetricsRegistry, warmers) -> None:
+    """Serve HTTP until SIGTERM/SIGINT, then drain gracefully.
 
-    Listeners are already closed (no new connections).  The HTTP
-    front finishes every in-flight request and closes idle
-    keep-alives; JSON-lines connection tasks are then cancelled —
-    ``_serve_stream``'s ``finally`` gathers their started handlers,
-    so every accepted request line still gets its answer before the
-    connection dies.
+    A signal stops the listener and lets every in-flight request
+    finish (idle keep-alives are closed) before returning; the
+    caller's gateway context then awaits its own in-flight futures and
+    the durable stores are compacted.  Stdin mode keeps the default
+    signal behaviour — there is no clean way to abandon a blocked
+    stdin read at shutdown.
     """
-    if front is not None:
-        await front.drain()
-    for task in list(line_tasks):
-        task.cancel()
-    if line_tasks:
-        await asyncio.gather(*line_tasks, return_exceptions=True)
+    front = HttpPlanServer(gateway, options, metrics=metrics,
+                           warmers=warmers)
+    server = await asyncio.start_server(
+        front.handle, host=args.host, port=args.http,
+        limit=1 << 16)  # 64 KiB header lines
+    names = ", ".join(str(sock.getsockname()) for sock in server.sockets)
+    print(f"http on {names}", file=sys.stderr, flush=True)
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    handled = []
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        with contextlib.suppress(NotImplementedError, RuntimeError):
+            loop.add_signal_handler(signum, stop.set)
+            handled.append(signum)
+    try:
+        async with server:
+            serve_task = asyncio.ensure_future(server.serve_forever())
+            stop_task = asyncio.ensure_future(stop.wait())
+            await asyncio.wait([serve_task, stop_task],
+                               return_when=asyncio.FIRST_COMPLETED)
+            server.close()
+            for task in (serve_task, stop_task):
+                task.cancel()
+            await asyncio.gather(serve_task, stop_task,
+                                 return_exceptions=True)
+            if stop.is_set():
+                print("draining: listeners closed, finishing "
+                      "in-flight requests", file=sys.stderr, flush=True)
+            await front.drain()
+    finally:
+        for signum in handled:
+            with contextlib.suppress(NotImplementedError, RuntimeError):
+                loop.remove_signal_handler(signum)
 
 
 async def _serve_async(args, registry: ClusterRegistry,
@@ -462,80 +440,8 @@ async def _serve_async(args, registry: ClusterRegistry,
                            client_weights=_parse_client_weights(
                                args.client_weight),
                            metrics=metrics) as gateway:
-        servers = []
-        front = None
-        line_tasks: "set[asyncio.Task]" = set()
-
-        async def serve_lines(reader, writer) -> None:
-            task = asyncio.current_task()
-            if task is not None:
-                line_tasks.add(task)
-            try:
-                await _serve_connection(gateway, options, reader, writer)
-            finally:
-                if task is not None:
-                    line_tasks.discard(task)
-
         if args.http is not None:
-            front = HttpPlanServer(gateway, options, metrics=metrics,
-                                   warmers=warmers)
-            server = await asyncio.start_server(
-                front.handle, host=args.host, port=args.http,
-                limit=1 << 16)  # 64 KiB header lines
-            names = ", ".join(str(sock.getsockname())
-                              for sock in server.sockets)
-            print(f"http on {names}", file=sys.stderr, flush=True)
-            servers.append(server)
-        if args.port is not None:
-            server = await asyncio.start_server(
-                serve_lines, host=args.host, port=args.port,
-                limit=1 << 20)  # 1 MiB request lines
-            names = ", ".join(str(sock.getsockname())
-                              for sock in server.sockets)
-            print(f"serving on {names}", file=sys.stderr, flush=True)
-            servers.append(server)
-        if servers:
-            # SIGTERM/SIGINT drain instead of dying mid-request: stop
-            # accepting, answer everything in flight, then fall out of
-            # the gateway context (which awaits its own in-flight
-            # futures) and compact the durable stores below.  Stdin
-            # mode keeps the default signal behavior — there is no
-            # clean way to abandon a blocked stdin read at shutdown.
-            stop = asyncio.Event()
-            loop = asyncio.get_running_loop()
-            handled = []
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError,
-                                         RuntimeError):
-                    loop.add_signal_handler(signum, stop.set)
-                    handled.append(signum)
-            try:
-                async with contextlib.AsyncExitStack() as stack:
-                    for server in servers:
-                        await stack.enter_async_context(server)
-                    serve_tasks = [asyncio.ensure_future(
-                        server.serve_forever()) for server in servers]
-                    stop_task = asyncio.ensure_future(stop.wait())
-                    await asyncio.wait([*serve_tasks, stop_task],
-                                       return_when=asyncio.FIRST_COMPLETED)
-                    for server in servers:
-                        server.close()
-                    for task in serve_tasks:
-                        task.cancel()
-                    await asyncio.gather(*serve_tasks,
-                                         return_exceptions=True)
-                    stop_task.cancel()
-                    await asyncio.gather(stop_task, return_exceptions=True)
-                    if stop.is_set():
-                        print("draining: listeners closed, finishing "
-                              "in-flight requests",
-                              file=sys.stderr, flush=True)
-                    await _drain_servers(servers, front, line_tasks)
-            finally:
-                for signum in handled:
-                    with contextlib.suppress(NotImplementedError,
-                                             RuntimeError):
-                        loop.remove_signal_handler(signum)
+            await _serve_http(args, gateway, options, metrics, warmers)
         else:
             loop = asyncio.get_running_loop()
 
@@ -876,15 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                            f"1f1b. Registered: {', '.join(registered_schedules())}")
     plan.set_defaults(fn=cmd_plan)
 
-    demo = sub.add_parser("demo", help="serve a queued workload "
-                                       "(cache + dedup showcase)")
-    common(demo)
-    demo.add_argument("--models", nargs="+", default=["gpt-1.1b", "gpt-2.2b"],
-                      help="architectures in the workload mix")
-    demo.add_argument("--repeats", type=int, default=2,
-                      help="how many times the workload re-asks")
-    demo.set_defaults(fn=cmd_demo)
-
     rep = sub.add_parser("replan", help="fail a node, compare warm vs cold")
     common(rep)
     rep.add_argument("--model", default="gpt-1.1b",
@@ -914,8 +811,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "(one <name>.jsonl each)")
     reg.set_defaults(fn=cmd_registry)
 
+    # No prefix matching: ``--port 7070`` would otherwise resolve to
+    # ``--portfolio-k 7070`` and silently serve stdin.
     srv = sub.add_parser("serve", help="run the async gateway as a "
-                                       "JSON-lines server")
+                                       "JSON-lines or HTTP server",
+                         allow_abbrev=False)
     search_opts(srv)
     srv.add_argument("--clusters", nargs="+",
                      default=["mid-range:2", "high-end:2"],
@@ -931,16 +831,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "and shards > 0 share template libraries "
                           "read-only (normally set by the fleet "
                           "supervisor, not by hand)")
-    srv.add_argument("--port", type=int, default=None, metavar="PORT",
-                     help="listen for JSON lines on TCP PORT instead "
-                          "of stdin/stdout")
     srv.add_argument("--http", type=int, default=None, metavar="PORT",
-                     help="also (or only) serve HTTP/1.1 on PORT: "
-                          "POST /v1/plan, POST /v1/events/*, "
-                          "GET /healthz, GET /metrics (Prometheus)")
+                     help="serve HTTP/1.1 on PORT instead of JSON lines "
+                          "over stdin/stdout: POST /v1/plan, POST "
+                          "/v1/events/*, GET /healthz, GET /metrics "
+                          "(Prometheus)")
     srv.add_argument("--host", default="127.0.0.1",
-                     help="TCP bind address (with --port/--http; "
-                          "default 127.0.0.1)")
+                     help="HTTP bind address (default 127.0.0.1)")
     srv.add_argument("--max-queue-depth", type=int, default=64,
                      help="distinct in-flight requests per cluster "
                           "before the overflow policy applies")

@@ -8,26 +8,29 @@ same question at the same moment.  :class:`PlanGateway` is the asyncio
 front door over a registry that absorbs that concurrency without
 serializing the fleet:
 
-* **coalescing** — concurrent requests with the same fingerprint (and
-  the same bandwidth epoch) share one search: the first caller leads,
-  the rest await the leader's future and receive the *same*
+* **coalescing** — the only dedup point in front of the services.
+  Concurrent requests with the same fingerprint (and the same
+  bandwidth epoch) share one search: the first caller leads, the rest
+  await the leader's future and receive the *same*
   :class:`~repro.core.configurator.PipetteResult` object.  The
   coalescing key includes the cluster's bandwidth fingerprint, so a
   request submitted after an elastic event can never be answered by a
-  search that started against the pre-event fabric;
-* **per-cluster lanes** — each cluster has its own queue and drain
-  loop, so a slow search on one cluster never delays answers from its
-  siblings, and one cluster's backlog drains as batches through the
-  service's existing in-flight dedup;
+  search that started against the pre-event fabric.  The one way the
+  same question is enqueued twice — an epoch roll between two
+  arrivals — costs no second search either: the later request is a
+  plan-cache hit on the plan the earlier one searched;
+* **per-cluster lanes** — the only request queue: each cluster has its
+  own queue and drain loop, so a slow search on one cluster never
+  delays answers from its siblings;
 * **bounded backpressure** — each lane admits at most
   ``max_queue_depth`` distinct in-flight requests; beyond that the
   gateway either makes callers *wait* for a slot (default) or
   *rejects* them immediately with :class:`GatewayOverloadedError`;
-* **non-blocking drains** — the synchronous
-  :meth:`~repro.service.planner.PlanningService.drain` runs in a
-  thread pool via ``run_in_executor``, so the event loop keeps
-  accepting clients (and coalescing their requests) while searches
-  run.  Inside each drain the shared
+* **non-blocking drains** — each drain batch is one
+  ``run_in_executor`` call looping the synchronous
+  :meth:`~repro.service.planner.PlanningService.plan`, so the event
+  loop keeps accepting clients (and coalescing their requests) while
+  searches run.  Inside each search the shared
   :class:`~repro.service.executor.CandidateExecutor` still fans
   candidate work over its own pool;
 * **fenced elastic events** — :meth:`PlanGateway.update_bandwidth` and
@@ -63,11 +66,10 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from repro.cluster.fabric import BandwidthMatrix
-from repro.core.configurator import PipetteResult, RankedConfig
 from repro.obs.logs import get_logger
 from repro.obs.trace import TRACER
 from repro.service.cache import PlanRequest
@@ -94,7 +96,7 @@ class GatewayStats:
             request instead of enqueueing their own.
         rejected: requests refused by the ``reject`` overflow policy.
         batches: drain batches run on the executor threads.
-        answered: tickets answered by those batches.
+        answered: requests answered by those batches.
         max_batch: largest single drain batch.
 
     Mutations go through :meth:`bump`/:meth:`record_batch` and reads
@@ -123,7 +125,7 @@ class GatewayStats:
             setattr(self, name, getattr(self, name) + n)
 
     def record_batch(self, size: int) -> None:
-        """Count one drain batch of ``size`` tickets."""
+        """Count one drain batch of ``size`` requests."""
         with self._lock:
             self.batches += 1
             self.max_batch = max(self.max_batch, size)
@@ -137,49 +139,6 @@ class GatewayStats:
         """All counters as one atomically-consistent mapping."""
         with self._lock:
             return {name: getattr(self, name) for name in self.FIELDS}
-
-
-@dataclass
-class GatewayResponse:
-    """A plan answer delivered through the gateway.
-
-    Attributes:
-        cluster_name: the cluster that produced the plan.
-        response: the underlying service answer.  Note that its
-            ``elapsed_s`` times the *search's* answer inside the
-            drain, which a coalesced follower shares with its leader.
-        coalesced: ``True`` when this caller shared an identical
-            in-flight request's search instead of submitting its own.
-        elapsed_s: this caller's own submit-to-answer wall time (queue
-            wait included).  Per-caller accounting must not copy the
-            leader's search time onto every follower: a follower that
-            joined late reports only the wait it actually experienced.
-        trace_id: id of this request's trace when tracing was on
-            (``None`` otherwise); a coalesced follower reports its own
-            trace, which links to the leader's via the
-            ``leader_trace_id`` span attribute.
-    """
-
-    cluster_name: str
-    response: PlanResponse
-    coalesced: bool = False
-    elapsed_s: float = 0.0
-    trace_id: "str | None" = None
-
-    @property
-    def status(self) -> str:
-        """``"coalesced"`` for followers, else the service status."""
-        return "coalesced" if self.coalesced else self.response.status
-
-    @property
-    def best(self) -> RankedConfig | None:
-        """Shortcut to the recommended configuration."""
-        return self.response.best
-
-    @property
-    def result(self) -> PipetteResult | None:
-        """Shortcut to the full search result."""
-        return self.response.result
 
 
 class _FairQueue:
@@ -317,8 +276,7 @@ class _GatewayInstruments:
         self.requests = metrics.counter(
             "pipette_requests_total",
             "Plan requests answered through the gateway, by cluster "
-            "and outcome (hit/miss/deduped/coalesced/error/rejected/"
-            "failed).",
+            "and outcome (hit/miss/coalesced/error/rejected/failed).",
             ("cluster", "outcome"))
         self.latency = metrics.histogram(
             "pipette_plan_latency_seconds",
@@ -428,7 +386,7 @@ class PlanGateway:
 
     async def plan(self, request: PlanRequest,
                    cluster: str | None = None,
-                   client_id: str | None = None) -> GatewayResponse:
+                   client_id: str | None = None) -> PlanResponse:
         """Answer one request; safe to call from many tasks at once.
 
         Routing matches :meth:`ClusterRegistry.plan` (pinned name or
@@ -437,11 +395,10 @@ class PlanGateway:
         this caller awaits the in-flight search and shares its result.
         Otherwise the request is enqueued on its cluster's lane,
         subject to the overflow policy, and answered by the lane's
-        next drain batch.  Submit-time failures (e.g. a request built
-        for a cluster that has since shrunk) raise here, like
-        :meth:`PlanningService.plan`; search failures inside a drain
-        come back as ``"error"`` responses, like
-        :meth:`PlanningService.drain`.
+        next drain batch.  A request built for a cluster that has
+        since shrunk raises ``ValueError`` here (an HTTP 400), as
+        :meth:`PlanningService.plan` would; a search failure inside a
+        drain batch comes back as an ``"error"`` response.
 
         ``client_id`` is *transport* identity, not plan identity: it
         selects the caller's fair-queue sub-queue (and round-robin
@@ -490,8 +447,8 @@ class PlanGateway:
                     _log.debug("plan answered", extra={
                         "cluster": name, "outcome": "coalesced",
                         "elapsed_ms": round(elapsed * 1000, 3)})
-                    return GatewayResponse(
-                        cluster_name=name, response=response, coalesced=True,
+                    return replace(
+                        response, cluster_name=name, status="coalesced",
                         elapsed_s=elapsed,
                         trace_id=gspan.trace_id if gspan.recording else None)
                 lane = self._lane(name)
@@ -540,9 +497,8 @@ class PlanGateway:
                 _log.debug("plan answered", extra={
                     "cluster": name, "outcome": response.status,
                     "elapsed_ms": round(elapsed * 1000, 3)})
-                return GatewayResponse(
-                    cluster_name=name, response=response,
-                    elapsed_s=elapsed,
+                return replace(
+                    response, cluster_name=name, elapsed_s=elapsed,
                     trace_id=gspan.trace_id if gspan.recording else None)
 
     def _record(self, cluster: str, outcome: str,
@@ -583,10 +539,10 @@ class PlanGateway:
     async def fail_nodes(self, name: str, *failed_nodes: int) -> int:
         """Apply a node failure to one cluster, fenced like above.
 
-        Tickets already queued for the pre-failure cluster drain as
-        ``"error"`` responses; post-event requests (built against the
-        survivor cluster) plan fresh.  Returns the number of retired
-        plans.
+        Requests already queued for the pre-failure cluster raise
+        ``ValueError`` at their callers (HTTP 400) when their batch
+        runs; post-event requests (built against the survivor cluster)
+        plan fresh.  Returns the number of retired plans.
         """
         with TRACER.span("event.failure", cluster=name,
                          failed_nodes=list(failed_nodes)) as span:
@@ -714,46 +670,39 @@ class PlanGateway:
                 qspan.end()
                 self._resolve(lane, key, future, exc=exc)
             return
-        tickets = []
+        jobs, waiters = [], []
         for request, key, future, qspan, parent in items:
             # Queue wait ends here: the drain has picked the item up
             # and the rest of its life is the service's spans, which
-            # parent to the caller's gateway span via the ticket.
+            # parent to the caller's gateway span explicitly.
             qspan.end()
             try:
-                ticket = service.submit(request, trace=parent
-                                        if parent.recording else None)
-            except (ValueError, RuntimeError) as exc:
+                # A request queued across a node failure names a
+                # cluster the service no longer plans for: that is the
+                # caller's error, not a failed search.
+                service.validate(request)
+            except ValueError as exc:
                 self._resolve(lane, key, future, exc=exc)
                 continue
-            tickets.append((ticket, key, future))
-        if not tickets:
+            jobs.append((request, parent if parent.recording else None))
+            waiters.append((key, future))
+        if not jobs:
             return
-        self.stats.record_batch(len(tickets))
+        self.stats.record_batch(len(jobs))
         try:
-            responses = await self._run(service.drain)
+            responses = await self._run(partial(_plan_batch, service, jobs))
         except asyncio.CancelledError:
             raise  # gateway shutdown: aclose already waited for futures
         except BaseException as exc:
             # An unexpected failure (e.g. a durable cache whose disk
-            # filled mid-drain) answers this batch with the error; the
+            # filled mid-batch) answers this batch with the error; the
             # lane itself must survive to serve the next batch.
-            for _, key, future in tickets:
+            for key, future in waiters:
                 self._resolve(lane, key, future, exc=exc)
             return
-        by_index = {r.ticket.index: r for r in responses}
-        for ticket, key, future in tickets:
-            response = by_index.get(ticket.index)
-            if response is None:
-                # A racing direct drain() on the service stole the
-                # ticket; the contract is that a service behind a
-                # gateway is drained only by the gateway.
-                self._resolve(lane, key, future, exc=RuntimeError(
-                    f"ticket {ticket.index} was drained outside the "
-                    f"gateway on cluster {lane.name!r}"))
-            else:
-                self._resolve(lane, key, future, response=response)
-                self.stats.bump("answered")
+        for (key, future), response in zip(waiters, responses):
+            self._resolve(lane, key, future, response=response)
+            self.stats.bump("answered")
 
     def _resolve(self, lane: _Lane, key, future,
                  response: PlanResponse | None = None,
@@ -774,3 +723,23 @@ class PlanGateway:
             future.set_exception(exc)
         else:
             future.set_result(response)
+
+
+def _plan_batch(service: PlanningService,
+                jobs: "list[tuple]") -> "list[PlanResponse]":
+    """Answer ``(request, trace)`` jobs on a worker thread, in order.
+
+    A failed search answers its own request as an ``"error"`` response
+    and the rest of the batch is still answered.
+    """
+    responses = []
+    for request, trace in jobs:
+        t0 = time.perf_counter()
+        try:
+            responses.append(service.plan(request, trace=trace))
+        except (ValueError, RuntimeError) as exc:
+            responses.append(PlanResponse(
+                cluster_name=service.cluster.name, result=None,
+                status="error", elapsed_s=time.perf_counter() - t0,
+                error=str(exc)))
+    return responses

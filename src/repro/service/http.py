@@ -122,10 +122,10 @@ class HttpError(Exception):
 
 async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
                          payload: dict):
-    """One decoded request object -> one GatewayResponse (may raise).
+    """One decoded request object -> one PlanResponse (may raise).
 
     The single request-answering routine shared by every transport
-    (JSON lines over stdin/TCP, HTTP): a request pinned to a
+    (JSON lines over stdin, HTTP): a request pinned to a
     ``"cluster"`` goes to that lane; an unpinned request is fanned
     concurrently over every cluster and answered with the cheapest
     feasible plan (the async twin of
@@ -185,7 +185,7 @@ async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
             errors.append(f"{n}: {answer}")
         elif answer.best is None:
             errors.append(
-                f"{n}: {answer.response.error or 'no feasible configuration'}")
+                f"{n}: {answer.error or 'no feasible configuration'}")
         else:
             ranked.append((cheapest_rank_key(answer.best, n), answer))
     if not ranked:
@@ -195,7 +195,7 @@ async def answer_payload(gateway: PlanGateway, options: PipetteOptions,
 
 
 def plan_response_payload(answer, payload: dict, registry=None) -> dict:
-    """The JSON answer body for one GatewayResponse.
+    """The JSON answer body for one gateway PlanResponse.
 
     ``elapsed_ms`` is this caller's own submit-to-answer time — a
     coalesced follower must not report its leader's full search time.
@@ -215,13 +215,13 @@ def plan_response_payload(answer, payload: dict, registry=None) -> dict:
     out = {"cluster": answer.cluster_name,
            "status": answer.status,
            "elapsed_ms": round(answer.elapsed_s * 1e3, 3)}
-    trace_id = getattr(answer, "trace_id", None)
+    trace_id = answer.trace_id
     if trace_id is not None:
         out["trace_id"] = trace_id
     best = answer.best
     if best is None:
         out["status"] = "error"
-        out["error"] = answer.response.error or "no feasible configuration"
+        out["error"] = answer.error or "no feasible configuration"
     else:
         out["config"] = best.config.describe()
         out["schedule"] = best.config.schedule

@@ -14,15 +14,13 @@ routes work to them:
   question over every registered cluster (each search reusing the
   shared :class:`~repro.service.executor.CandidateExecutor`) and
   returns the feasible plan with the lowest estimated latency;
-* work can be *queued* instead of answered inline —
-  :meth:`ClusterRegistry.submit` routes a ticket onto its cluster's
-  queue and :meth:`ClusterRegistry.drain_all` answers every cluster's
-  backlog — so elastic events land between batches, fenced against
-  in-flight searches, and the async gateway
-  (:mod:`repro.service.gateway`) can drain clusters concurrently;
 * elastic events — a re-profiled matrix, a node failure — are
   propagated to exactly one named cluster, leaving every sibling's
   cache and epoch untouched.
+
+Every answer is synchronous; concurrent callers queue and coalesce in
+the async gateway (:mod:`repro.service.gateway`), which drains each
+cluster through this registry.
 
 Services keep their identity inside the registry: per-cluster durable
 caches (:mod:`repro.service.store`) rehydrate independently, so a
@@ -33,41 +31,18 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import replace
 
 from repro.cluster.fabric import BandwidthMatrix
 from repro.cluster.topology import ClusterSpec
-from repro.core.configurator import PipetteResult, RankedConfig
+from repro.core.configurator import RankedConfig
 from repro.core.memory_estimator import MemoryEstimator
 from repro.model.transformer import TransformerConfig
 from repro.obs.trace import TRACER
 from repro.service.cache import PlanCache, PlanRequest
 from repro.service.executor import CandidateExecutor
-from repro.service.planner import PlanningService, PlanResponse, PlanTicket
+from repro.service.planner import PlanningService, PlanResponse
 from repro.service.replan import DEFAULT_DRIFT_THRESHOLD
-
-
-@dataclass
-class RoutedResponse:
-    """A plan answer plus the name of the cluster that produced it."""
-
-    cluster_name: str
-    response: PlanResponse
-
-    @property
-    def best(self) -> RankedConfig | None:
-        """Shortcut to the recommended configuration."""
-        return self.response.best
-
-    @property
-    def result(self) -> PipetteResult | None:
-        """Shortcut to the full search result."""
-        return self.response.result
-
-    @property
-    def status(self) -> str:
-        """Shortcut to the cache status (``"hit"``/``"miss"``/...)."""
-        return self.response.status
 
 
 def cheapest_rank_key(best: RankedConfig, name: str) -> tuple:
@@ -95,9 +70,9 @@ class ClusterRegistry:
         self.executor = executor
         self._services: "OrderedDict[str, PlanningService]" = OrderedDict()
         self._metrics = None
-        # Guards membership only.  Routing and draining take a snapshot
+        # Guards membership only.  Routing and planning take a snapshot
         # of the table and then rely on each service's own lock, so a
-        # long drain on one cluster never blocks registering another.
+        # long search on one cluster never blocks registering another.
         self._lock = threading.RLock()
 
     # ---------------------------------------------------------- membership
@@ -194,55 +169,20 @@ class ClusterRegistry:
             )
 
     def plan(self, request: PlanRequest,
-             cluster: str | None = None) -> RoutedResponse:
+             cluster: str | None = None) -> PlanResponse:
         """Answer one request, pinned to ``cluster`` or routed by spec."""
         name = cluster if cluster is not None else self.route(request)
-        return RoutedResponse(cluster_name=name,
-                              response=self.service(name).plan(request))
-
-    # ------------------------------------------------------------- queueing
-
-    def submit(self, request: PlanRequest,
-               cluster: str | None = None) -> "tuple[str, PlanTicket]":
-        """Queue one request on its cluster's service; drain later.
-
-        Routing matches :meth:`plan` — pinned by name or matched by
-        spec — but the ticket waits for :meth:`drain` /
-        :meth:`drain_all` instead of being answered now.  Queueing at
-        the registry level is what lets an elastic event *fence*
-        pending work: :meth:`fail_nodes` between submit and drain
-        makes the stale tickets drain as ``"error"`` responses instead
-        of answering them with plans that map onto dead GPUs.
-        """
-        name = cluster if cluster is not None else self.route(request)
-        return name, self.service(name).submit(request)
-
-    def drain(self, name: str) -> "list[PlanResponse]":
-        """Answer every ticket queued on the named cluster."""
-        return self.service(name).drain()
-
-    def drain_all(self) -> "dict[str, list[PlanResponse]]":
-        """Drain every registered cluster, in registration order.
-
-        Each cluster's drain runs under its own service lock; the
-        registry stays open for membership changes and sibling drains
-        while one cluster searches.  Returns per-cluster responses
-        keyed by cluster name (clusters with empty queues included,
-        with empty lists, so callers can account for every cluster).
-        """
-        return {name: service.drain() for name, service in self._snapshot()}
+        return replace(self.service(name).plan(request), cluster_name=name)
 
     def plan_on(self, name: str, model: TransformerConfig,
-                global_batch: int, **kwargs) -> RoutedResponse:
+                global_batch: int, **kwargs) -> PlanResponse:
         """Build a request bound to the named cluster and answer it."""
         service = self.service(name)
-        return RoutedResponse(
-            cluster_name=name,
-            response=service.plan(service.request(model, global_batch,
-                                                  **kwargs)))
+        return self.plan(service.request(model, global_batch, **kwargs),
+                         cluster=name)
 
     def plan_cheapest(self, model: TransformerConfig, global_batch: int,
-                      **kwargs) -> RoutedResponse:
+                      **kwargs) -> PlanResponse:
         """The lowest-latency feasible plan across every cluster.
 
         Each registered cluster answers its own cluster-bound copy of
@@ -260,7 +200,7 @@ class ClusterRegistry:
         services = self._snapshot()
         if not services:
             raise ValueError("no clusters registered")
-        candidates: "list[tuple[tuple, RoutedResponse]]" = []
+        candidates: "list[tuple[tuple, PlanResponse]]" = []
         errors: "list[str]" = []
         for name, service in services:
             try:
@@ -273,9 +213,8 @@ class ClusterRegistry:
             if best is None:
                 errors.append(f"{name}: no feasible configuration")
                 continue
-            candidates.append((
-                cheapest_rank_key(best, name),
-                RoutedResponse(cluster_name=name, response=response)))
+            candidates.append((cheapest_rank_key(best, name),
+                               replace(response, cluster_name=name)))
         if not candidates:
             raise RuntimeError(
                 "no cluster can serve the request: " + "; ".join(errors))

@@ -128,13 +128,19 @@ class HashRing:
 def routing_key(payload: dict) -> str:
     """Stable shard key of one plan-request payload.
 
-    Hashes exactly the fields that enter the worker-side
+    Hashes the fields that enter the worker-side
     :meth:`~repro.service.cache.PlanRequest.fingerprint` — and none of
     the transport fields — with the same normalization the request
     dataclass applies, so any two payloads that would share a cache
     entry on a worker also share a shard.  (The key is *not* the cache
     fingerprint itself: the router must not need model catalogs or
     cluster specs to route.  It only has to be constant per question.)
+
+    ``portfolio_k`` is left out on purpose: an omitted value means the
+    fleet's ``--portfolio-k``, which only the workers' options know, so
+    keying on the raw field would deal one question to two shards (and
+    two searches).  Every portfolio depth of a question shares a shard
+    instead; the workers' fingerprints still tell the depths apart.
 
     Unpinned requests (no ``"cluster"``) fan over every cluster inside
     whichever worker they land on, so they hash under a ``"*"``
@@ -153,7 +159,6 @@ def routing_key(payload: dict) -> str:
         schedule = sorted({str(s) for s in schedule})
     cluster = payload.get("cluster")
     memory_limit = payload.get("memory_limit_gib")
-    portfolio_k = payload.get("portfolio_k")
     parts = {
         "cluster": "*" if cluster is None else str(cluster),
         "model": str(payload.get("model", "")),
@@ -162,7 +167,9 @@ def routing_key(payload: dict) -> str:
         "memory_limit_gib":
             None if memory_limit is None else float(memory_limit),
         "schedule": schedule,
-        "portfolio_k": None if portfolio_k is None else int(portfolio_k),
+        # Constant, not dropped: payloads that omit portfolio_k keep
+        # the keys (and shard placement) they always had.
+        "portfolio_k": None,
     }
     canonical = json.dumps(parts, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]

@@ -145,4 +145,4 @@ class TestServeProtocol:
              "--max-queue-depth", "3"])
         assert args.overflow == "reject"
         assert args.max_queue_depth == 3
-        assert args.port is None
+        assert args.http is None

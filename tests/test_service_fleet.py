@@ -148,6 +148,12 @@ class TestRoutingKey:
         assert routing_key(dict(self.BASE,
                                 memory_limit_gib=12.0)) != base
 
+    def test_omitted_portfolio_depth_shares_the_explicit_key(self):
+        # An omitted portfolio_k means the fleet's --portfolio-k on
+        # every worker: both spellings are one question, so one key.
+        assert routing_key(dict(self.BASE, portfolio_k=4)) == \
+            routing_key(self.BASE)
+
     def test_unpinned_cluster_has_its_own_key(self):
         unpinned = {k: v for k, v in self.BASE.items()
                     if k != "cluster"}
@@ -402,10 +408,31 @@ class TestFleetRouter:
         assert all(count == 0 for index, count in enumerate(submitted)
                    if index != owner)
 
+    def test_default_portfolio_depth_searches_once_across_the_fleet(
+            self, toy_model):
+        """A payload that omits portfolio_k and one that spells out the
+        workers' default depth ask one question: one shard, one
+        search, the second answer a hit on the first's plan."""
+        base = {"model": "gpt-toy", "global_batch": 32, "cluster": "alpha"}
+        explicit = dict(base, portfolio_k=FAST.sa.portfolio_k)
+
+        async def main():
+            async with _Fleet(4) as fleet:
+                answers = [await _request(fleet.port, "POST", "/v1/plan",
+                                          payload)
+                           for payload in (base, explicit)]
+                return fleet, answers
+
+        fleet, answers = asyncio.run(main())
+        assert [_json(body)["status"] for _, _, body in answers] == \
+            ["miss", "hit"]
+        assert fleet.misses() == 1
+
     def test_distinct_keys_route_where_the_ring_says(self, toy_model):
-        payloads = [{"model": "gpt-toy", "global_batch": 32,
-                     "cluster": "alpha", "portfolio_k": k}
-                    for k in range(1, 7)]
+        payloads = [{"model": "gpt-toy", "global_batch": batch,
+                     "cluster": cluster}
+                    for cluster in ("alpha", "beta")
+                    for batch in (16, 32, 64)]
 
         async def main():
             async with _Fleet(3) as fleet:

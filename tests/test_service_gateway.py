@@ -166,16 +166,14 @@ class TestConcurrencyIdentity:
 
         answers = run(main())
         # Serial reference: a fresh single-caller service per cluster,
-        # draining the same tickets in submission order.
+        # planning the same requests in submission order.
         references = {}
         for name in ("alpha", "beta"):
             serial = _fresh_service(registry, name)
             for req_name, request in requests:
                 if req_name == name:
-                    serial.submit(request)
-            for response in serial.drain():
-                references[(name, response.ticket.fingerprint)] = \
-                    _payload_bytes(response.result)
+                    references[(name, request.fingerprint())] = \
+                        _payload_bytes(serial.plan(request).result)
         assert len(answers) == len(requests)
         for (name, request), answer in zip(requests, answers):
             assert answer.best is not None
@@ -196,8 +194,8 @@ class TestConcurrencyIdentity:
 
         answers, stats = run(main())
         unique = {request.fingerprint() for request in requests}
-        # Exactly one miss per unique fingerprint, whether the sharing
-        # happened by coalescing (gateway) or in-drain dedup (service).
+        # Exactly one miss per unique fingerprint: the sharing happens
+        # by coalescing, or by a cache hit after the leader answered.
         assert service.stats["cache_misses"] == len(unique)
         misses = [a for a in answers if a.status == "miss"]
         assert len(misses) == len(unique)
@@ -391,6 +389,80 @@ class TestElasticFencing:
         assert fresh.best.config.n_gpus == \
             registry.service("alpha").cluster.n_gpus
 
+    def test_epoch_roll_leaves_one_search_per_question(self, monkeypatch,
+                                                       toy_model):
+        # The one case in which the gateway enqueues the same question
+        # twice: request A waits on its lane while an epoch roll lands,
+        # so B (same question, post-event) gets a fresh coalescing key.
+        # Both end up in one drain batch — the plan cache, not a second
+        # dedup layer, holds them to one search.
+        registry = _registry()
+        service = registry.service("alpha")
+        request = service.request(toy_model, 32, options=FAST)
+        blocker = service.request(toy_model, 16, options=FAST)
+        searched = []
+        search_started, search_release = threading.Event(), threading.Event()
+        real_search = service._search
+
+        def gated_search(req):
+            searched.append(req.fingerprint())
+            if req is blocker:
+                search_started.set()
+                assert search_release.wait(timeout=10)
+            return real_search(req)
+
+        event_started, event_release = threading.Event(), threading.Event()
+        real_update = service.update_bandwidth
+
+        def gated_update(*args, **kwargs):
+            event_started.set()
+            assert event_release.wait(timeout=10)
+            return real_update(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_search", gated_search)
+        monkeypatch.setattr(service, "update_bandwidth", gated_update)
+        degraded = service.bandwidth.matrix.copy()
+        degraded[np.isfinite(degraded)] *= 0.5
+        np.fill_diagonal(degraded, np.inf)
+        moved = BandwidthMatrix(matrix=degraded,
+                                alpha=service.bandwidth.alpha)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                lane_queue = gateway._lane("alpha").queue
+                # The event holds the lane fence, blocked before it
+                # adopts the new matrix.
+                event = asyncio.ensure_future(
+                    gateway.update_bandwidth("alpha", moved))
+                await _wait_for(event_started.is_set)
+                # The blocker is picked up and waits on the fence ...
+                blocked = asyncio.ensure_future(gateway.plan(blocker))
+                await _wait_for(lambda: gateway.stats.read("submitted") == 1
+                                and lane_queue.qsize() == 0)
+                # ... so A is enqueued under the pre-event epoch and waits.
+                a = asyncio.ensure_future(gateway.plan(request))
+                await _wait_for(lambda: lane_queue.qsize() == 1)
+                event_release.set()
+                assert await event == 0  # nothing cached yet to retire
+                # The blocker's batch now holds the lane; B arrives
+                # under the new epoch and queues behind A.
+                await _wait_for(search_started.is_set)
+                b = asyncio.ensure_future(gateway.plan(request))
+                await _wait_for(lambda: lane_queue.qsize() == 2)
+                search_release.set()
+                await blocked
+                return await a, await b, gateway.stats
+
+        a, b, stats = run(main())
+        assert searched.count(request.fingerprint()) == 1
+        assert stats.coalesced == 0
+        assert stats.max_batch == 2  # A and B shared one drain batch
+        assert (a.status, b.status) == ("miss", "hit")
+        assert _payload_bytes(a.result) == _payload_bytes(b.result)
+        fresh = PlanningService(service.cluster, moved)
+        assert _payload_bytes(a.result) == _payload_bytes(
+            fresh.plan(fresh.request(toy_model, 32, options=FAST)).result)
+
     def test_sibling_lane_unaffected_by_event(self, toy_model):
         registry = _registry()
         beta_request = registry.service("beta").request(toy_model, 32,
@@ -443,7 +515,7 @@ class TestErrorPaths:
         statuses = sorted(a.status for a in answers)
         assert statuses == ["coalesced", "error"]
         assert all(a.result is None for a in answers)
-        assert any("estimator exploded" in (a.response.error or "")
+        assert all("estimator exploded" in (a.error or "")
                    for a in answers)
 
     def test_closed_gateway_refuses_work(self, toy_model):
@@ -471,22 +543,22 @@ class TestErrorPaths:
 class TestResilience:
     def test_lane_survives_unexpected_drain_failure(self, monkeypatch,
                                                     toy_model):
-        # Regression: an exception escaping service.drain (e.g. a
+        # Regression: an exception escaping a drain batch (e.g. a
         # durable store whose disk filled) used to kill the lane's
         # drain task — every later request on that cluster then hung
         # forever.  The failing batch gets the error; the lane lives.
         registry = _registry()
         service = registry.service("alpha")
-        real_drain = service.drain
+        real_plan = service.plan
         calls = {"n": 0}
 
-        def flaky_drain():
+        def flaky_plan(request, trace=None):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise OSError("disk full")
-            return real_drain()
+            return real_plan(request, trace=trace)
 
-        monkeypatch.setattr(service, "drain", flaky_drain)
+        monkeypatch.setattr(service, "plan", flaky_plan)
         first = service.request(toy_model, 16, options=FAST)
         second = service.request(toy_model, 32, options=FAST)
 

@@ -406,18 +406,17 @@ class TestIdentity:
 
         answers = asyncio.run(main())
         # Serial reference: a fresh single-caller service per cluster,
-        # draining the same tickets in submission order.
+        # planning the same requests in submission order.
         references = {}
         for name in ("alpha", "beta"):
             source = registry.service(name)
             serial = PlanningService(source.cluster, source.bandwidth)
             for job_name, batch in jobs:
                 if job_name == name:
-                    serial.submit(serial.request(toy_model, batch,
-                                                 options=FAST))
-            for response in serial.drain():
-                references[(name, response.ticket.fingerprint)] = \
-                    _payload_bytes(response.result.to_payload())
+                    request = serial.request(toy_model, batch, options=FAST)
+                    references[(name, request.fingerprint())] = \
+                        _payload_bytes(
+                            serial.plan(request).result.to_payload())
         assert len(answers) == len(jobs)
         for (name, batch), (status, _, body) in zip(jobs, answers):
             assert status == 200

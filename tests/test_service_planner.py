@@ -1,4 +1,13 @@
-"""The planning service front door: batching, dedup, cache, events."""
+"""The planning service: plan(), cache, events — and its one queue.
+
+Concurrent callers reach a service through the gateway, the only place
+requests queue and deduplicate; the batch and accounting tests below
+drive that path (``PlanGateway.for_service``).
+"""
+
+import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +18,7 @@ from repro.model import get_model
 from repro.service import (
     CandidateExecutor,
     ClusterEvent,
+    PlanGateway,
     PlanningService,
     PlanRequest,
 )
@@ -23,6 +33,16 @@ def service(tiny_cluster, tiny_network) -> PlanningService:
     return PlanningService(tiny_cluster, tiny_network.bandwidth)
 
 
+def _gather(service, *requests):
+    """Plan ``requests`` concurrently through a gateway over ``service``."""
+    async def main():
+        async with PlanGateway.for_service(service) as gateway:
+            return await asyncio.gather(
+                *(gateway.plan(request) for request in requests))
+
+    return asyncio.run(main())
+
+
 class TestRequestLifecycle:
     def test_miss_then_hit(self, service, toy_model):
         request = service.request(toy_model, 32, options=FAST)
@@ -35,28 +55,16 @@ class TestRequestLifecycle:
 
     def test_inflight_dedup(self, service, toy_model):
         request = service.request(toy_model, 32, options=FAST)
-        service.submit(request)
-        service.submit(request)
-        service.submit(service.request(toy_model, 16, options=FAST))
-        responses = service.drain()
-        assert [r.status for r in responses] == ["miss", "deduped", "miss"]
+        other = service.request(toy_model, 16, options=FAST)
+        responses = _gather(service, request, request, other)
+        assert [r.status for r in responses] == ["miss", "coalesced", "miss"]
         assert responses[0].result is responses[1].result
         assert service.stats["cache_entries"] == 2
-
-    def test_plan_leaves_queue_untouched(self, service, toy_model):
-        queued = service.submit(service.request(toy_model, 16, options=FAST))
-        response = service.plan(service.request(toy_model, 32, options=FAST))
-        assert response.status == "miss"
-        drained = service.drain()
-        assert [r.ticket.index for r in drained] == [queued.index]
-        assert drained[0].status == "miss"
 
     def test_drain_isolates_failing_ticket(self, service, toy_model,
                                            monkeypatch):
         bad = service.request(toy_model, 16, options=FAST)
         good = service.request(toy_model, 32, options=FAST)
-        service.submit(bad)
-        service.submit(good)
         real_search = service._search
 
         def failing_search(request):
@@ -65,19 +73,21 @@ class TestRequestLifecycle:
             return real_search(request)
 
         monkeypatch.setattr(service, "_search", failing_search)
-        responses = service.drain()
+        responses = _gather(service, bad, good)
         assert [r.status for r in responses] == ["error", "miss"]
         assert responses[0].result is None and responses[0].best is None
         assert "estimator exploded" in responses[0].error
         assert responses[1].best is not None
 
-    def test_responses_in_submission_order(self, service, toy_model):
-        tickets = [service.submit(service.request(toy_model, batch,
-                                                  options=FAST))
-                   for batch in (16, 32, 16)]
-        responses = service.drain()
-        assert [r.ticket.index for r in responses] == [t.index
-                                                       for t in tickets]
+    def test_plan_raises_search_failures(self, service, toy_model,
+                                         monkeypatch):
+        def failing_search(request):
+            raise RuntimeError("estimator exploded")
+
+        monkeypatch.setattr(service, "_search", failing_search)
+        with pytest.raises(RuntimeError, match="estimator exploded"):
+            service.plan(service.request(toy_model, 16, options=FAST))
+        assert len(service.cache) == 0
 
     def test_search_parameters_respected(self, service, toy_model):
         response = service.plan(service.request(
@@ -88,8 +98,8 @@ class TestRequestLifecycle:
                                       tiny_cluster):
         foreign = tiny_cluster.scaled_to(2)
         with pytest.raises(ValueError):
-            service.submit(PlanRequest(cluster=foreign, model=toy_model,
-                                       global_batch=16))
+            service.plan(PlanRequest(cluster=foreign, model=toy_model,
+                                     global_batch=16))
 
     def test_same_size_different_cluster_rejected(self, service, toy_model,
                                                   tiny_cluster):
@@ -98,9 +108,9 @@ class TestRequestLifecycle:
         from dataclasses import replace
         lookalike = replace(tiny_cluster, name="impostor")
         assert lookalike.n_gpus == service.cluster.n_gpus
-        with pytest.raises(ValueError):
-            service.submit(PlanRequest(cluster=lookalike, model=toy_model,
-                                       global_batch=16))
+        with pytest.raises(ValueError, match="match exactly"):
+            service.plan(PlanRequest(cluster=lookalike, model=toy_model,
+                                     global_batch=16))
 
     def test_mismatched_matrix_rejected(self, tiny_cluster, tiny_network):
         with pytest.raises(ValueError):
@@ -114,30 +124,42 @@ class TestRequestLifecycle:
 
 
 class TestDrainAccounting:
-    def test_deduped_reports_own_time(self, service, toy_model,
-                                      monkeypatch):
-        # Regression: "deduped" responses used to copy the first
-        # ticket's full search elapsed_s, billing one search N times.
-        import time as time_mod
+    def test_coalesced_reports_own_time(self, service, toy_model,
+                                        monkeypatch):
+        # A follower that joins an in-flight search late reports its
+        # own wait, never a copy of the leader's full search time.
         real_search = service._search
+        started, release = threading.Event(), threading.Event()
 
-        def slow_search(request):
-            time_mod.sleep(0.05)
+        def gated_search(request):
+            started.set()
+            assert release.wait(timeout=10), "test forgot to release"
             return real_search(request)
 
-        monkeypatch.setattr(service, "_search", slow_search)
+        monkeypatch.setattr(service, "_search", gated_search)
         request = service.request(toy_model, 32, options=FAST)
-        service.submit(request)
-        service.submit(request)
-        miss, deduped = service.drain()
-        assert (miss.status, deduped.status) == ("miss", "deduped")
-        assert miss.elapsed_s >= 0.05
-        assert deduped.elapsed_s < miss.elapsed_s / 10
+
+        async def main():
+            async with PlanGateway.for_service(service) as gateway:
+                leader = asyncio.ensure_future(gateway.plan(request))
+                while not started.is_set():
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.1)
+                follower = asyncio.ensure_future(gateway.plan(request))
+                while gateway.stats.read("coalesced") == 0:
+                    await asyncio.sleep(0.005)
+                release.set()
+                return await leader, await follower
+
+        leader, follower = asyncio.run(main())
+        assert (leader.status, follower.status) == ("miss", "coalesced")
+        assert follower.result is leader.result
+        assert follower.elapsed_s <= leader.elapsed_s - 0.1
 
     def test_failing_fingerprint_searched_once(self, service, toy_model,
                                                monkeypatch):
-        # Regression: N identical bad tickets re-raised the same
-        # search N times instead of sharing the first failure.
+        # N identical failing requests share the first failure instead
+        # of re-raising the same search N times.
         calls = {"n": 0}
 
         def failing_search(request):
@@ -146,10 +168,10 @@ class TestDrainAccounting:
 
         monkeypatch.setattr(service, "_search", failing_search)
         request = service.request(toy_model, 32, options=FAST)
-        for _ in range(3):
-            service.submit(request)
-        responses = service.drain()
-        assert [r.status for r in responses] == ["error"] * 3
+        responses = _gather(service, request, request, request)
+        assert [r.status for r in responses] == \
+            ["error", "coalesced", "coalesced"]
+        assert all(r.result is None for r in responses)
         assert calls["n"] == 1
         assert all("estimator exploded" in r.error for r in responses)
 
@@ -166,11 +188,11 @@ class TestDrainAccounting:
         monkeypatch.setattr(service, "_search", failing_search)
         bad = service.request(toy_model, 16, options=FAST)
         good = service.request(toy_model, 32, options=FAST)
-        for request in (bad, good, bad, good):
-            service.submit(request)
-        responses = service.drain()
+        responses = _gather(service, bad, good, bad, good)
         assert [r.status for r in responses] \
-            == ["error", "miss", "error", "deduped"]
+            == ["error", "miss", "coalesced", "coalesced"]
+        assert [r.best is not None for r in responses] == \
+            [False, True, False, True]
 
 
 class TestBandwidthEpochs:
@@ -252,7 +274,7 @@ class TestServiceReplan:
         service.replan(service.request(toy_model, 32, options=SA_FAST),
                        ClusterEvent.node_failure(0), run_cold=False)
         with pytest.raises(ValueError):
-            service.submit(stale)
+            service.plan(stale)
 
     def test_drift_replan_adopts_matrix_and_seeds_cache(self, service,
                                                         toy_model,

@@ -1,5 +1,8 @@
 """Multi-cluster registry: routing, cheapest-feasible planning, isolation."""
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.cluster import Fabric, HeterogeneityModel, NetworkProfiler
@@ -8,6 +11,7 @@ from repro.core import PipetteOptions
 from repro.service import (
     ClusterRegistry,
     DurablePlanCache,
+    PlanGateway,
     PlanningService,
     PlanRequest,
 )
@@ -105,8 +109,9 @@ class TestRouting:
     def test_plan_on_builds_bound_request(self, registry, toy_model):
         routed = registry.plan_on("slow", toy_model, 16, options=FAST)
         assert routed.cluster_name == "slow"
-        assert routed.response.ticket.request.cluster \
-            == registry.service("slow").cluster
+        service = registry.service("slow")
+        bound = service.request(toy_model, 16, options=FAST)
+        assert service.plan(bound).result is routed.result
 
     def test_repeats_hit_per_cluster_cache(self, registry, toy_model):
         first = registry.plan_on("slow", toy_model, 16, options=FAST)
@@ -233,50 +238,84 @@ class TestCheapestTieBreak:
 
 
 class TestRegistryQueueing:
+    """A registry's requests queue in the gateway in front of it."""
+
+    @staticmethod
+    def _gather(registry, *calls):
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                return await asyncio.gather(
+                    *(gateway.plan(request, cluster=name)
+                      for request, name in calls))
+
+        return asyncio.run(main())
+
     def test_submit_routes_like_plan(self, registry, fast_cluster,
                                      toy_model):
         request = PlanRequest(cluster=fast_cluster, model=toy_model,
                               global_batch=16, options=FAST)
-        name, ticket = registry.submit(request)
-        assert name == "fast"
-        assert ticket.fingerprint == request.fingerprint()
-        responses = registry.drain("fast")
-        assert [r.ticket.index for r in responses] == [ticket.index]
-        assert responses[0].status == "miss"
-        assert registry.drain("slow") == []
+        [answer] = self._gather(registry, (request, None))
+        assert answer.cluster_name == registry.route(request) == "fast"
+        assert answer.status == "miss"
+        assert registry.stats["slow"]["cache_misses"] == 0
 
     def test_submit_pinned_by_name(self, registry, toy_model):
         service = registry.service("slow")
-        name, ticket = registry.submit(
-            service.request(toy_model, 16, options=FAST), cluster="slow")
-        assert name == "slow"
-        assert registry.drain("slow")[0].ticket.index == ticket.index
+        [answer] = self._gather(
+            registry, (service.request(toy_model, 16, options=FAST), "slow"))
+        assert answer.cluster_name == "slow"
+        assert answer.status == "miss"
 
     def test_drain_all_answers_every_cluster(self, registry, toy_model):
-        slow = registry.service("slow")
-        fast = registry.service("fast")
-        registry.submit(slow.request(toy_model, 16, options=FAST))
-        registry.submit(fast.request(toy_model, 16, options=FAST))
-        registry.submit(slow.request(toy_model, 16, options=FAST))
-        drained = registry.drain_all()
-        assert list(drained) == ["slow", "fast"]  # registration order
-        assert [r.status for r in drained["slow"]] == ["miss", "deduped"]
-        assert [r.status for r in drained["fast"]] == ["miss"]
+        slow = registry.service("slow").request(toy_model, 16, options=FAST)
+        fast = registry.service("fast").request(toy_model, 16, options=FAST)
+        answers = self._gather(registry, (slow, None), (fast, None),
+                               (slow, None))
+        assert [(a.cluster_name, a.status) for a in answers] == [
+            ("slow", "miss"), ("fast", "miss"), ("slow", "coalesced")]
 
     def test_event_between_submit_and_drain_fences_tickets(self, registry,
-                                                           toy_model):
-        # The ROADMAP's "registry-level request queueing/draining":
-        # a failure landing after submit must not answer the stale
-        # ticket with a plan that maps onto dead GPUs.
+                                                           toy_model,
+                                                           monkeypatch):
+        # A request still queued when a failure lands must not be
+        # answered with a plan that maps onto dead GPUs: it raises at
+        # its caller.
         slow = registry.service("slow")
-        registry.submit(slow.request(toy_model, 16, options=FAST))
-        registry.fail_nodes("slow", 0)
-        responses = registry.drain("slow")
-        assert [r.status for r in responses] == ["error"]
-        assert "re-submit" in responses[0].error
-        # Post-event work plans cleanly on the survivors.
-        survivor = registry.service("slow")
-        registry.submit(survivor.request(toy_model, 16, options=FAST))
-        fresh = registry.drain("slow")
-        assert [r.status for r in fresh] == ["miss"]
-        assert fresh[0].best.config.n_gpus == survivor.cluster.n_gpus
+        started, release = threading.Event(), threading.Event()
+        real_search = slow._search
+
+        def gated_search(request):
+            started.set()
+            assert release.wait(timeout=10), "test forgot to release"
+            return real_search(request)
+
+        monkeypatch.setattr(slow, "_search", gated_search)
+        blocker = slow.request(toy_model, 32, options=FAST)
+        stale = slow.request(toy_model, 16, options=FAST)
+
+        async def main():
+            async with PlanGateway(registry) as gateway:
+                running = asyncio.ensure_future(gateway.plan(blocker))
+                while not started.is_set():
+                    await asyncio.sleep(0.005)
+                queued = asyncio.ensure_future(gateway.plan(stale))
+                while gateway.stats.read("submitted") < 2:
+                    await asyncio.sleep(0.005)
+                event = asyncio.ensure_future(gateway.fail_nodes("slow", 0))
+                await asyncio.sleep(0.02)
+                release.set()
+                await running
+                retired = await event
+                with pytest.raises(ValueError, match="match exactly"):
+                    await queued
+                # Post-event work plans cleanly on the survivors.
+                survivor = registry.service("slow")
+                fresh = await gateway.plan(
+                    survivor.request(toy_model, 16, options=FAST))
+                return retired, fresh
+
+        retired, fresh = asyncio.run(main())
+        assert retired == 1
+        assert fresh.status == "miss"
+        assert fresh.best.config.n_gpus == \
+            registry.service("slow").cluster.n_gpus
