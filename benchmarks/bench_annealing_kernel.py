@@ -35,15 +35,18 @@ from repro.profiling import profile_compute
 #: One concrete fabric draw, like the other macro-benchmarks.
 SEED = 2
 
-#: 128-GPU parallelizations of the Table 1 clusters.  The first is the
-#: canonical Megatron shape (full-node TP groups) the >= 10x bound is
-#: asserted on; the others are reported for coverage of skinnier TP.
+#: 128-GPU parallelizations of the Table 1 clusters.  The first two
+#: are full-node TP groups, the shapes the >= 10x and batch >= 3x
+#: bounds are asserted on; the others, several TP slots per node (the
+#: hierarchical DP ring), are reported for coverage of skinnier TP.
 SHAPES = [
     ("high-end", ParallelConfig(pp=4, tp=8, dp=4, micro_batch=4,
                                 global_batch=512), True),
     ("mid-range", ParallelConfig(pp=16, tp=8, dp=1, micro_batch=4,
                                  global_batch=512), True),
     ("mid-range", ParallelConfig(pp=8, tp=2, dp=8, micro_batch=4,
+                                 global_batch=512), False),
+    ("mid-range", ParallelConfig(pp=2, tp=4, dp=16, micro_batch=4,
                                  global_batch=512), False),
 ]
 

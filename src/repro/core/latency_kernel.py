@@ -17,15 +17,17 @@ permutation:
 * each slot's TP all-reduce time (a TP group always occupies one slot
   of ``tp`` consecutive GPUs, whichever block lands there),
 * the slot-pair bandwidth tables ``matrix[s1*tp + y, s2*tp + y]`` that
-  the pipeline-chain and data-parallel terms read through, and the
-  slot-pair same-node table of the hierarchical ring,
+  the pipeline-chain and data-parallel terms read through,
+* the intra-node phase of the hierarchical ring for every subset of
+  every node's slots (below),
 * the stage-major block layout
   (:meth:`repro.parallel.mapping.WorkerGrid.stage_blocks`).
 
 :class:`LatencyKernel` hoists all of that into ``__init__`` and reduces
 one objective evaluation to a handful of NumPy gathers and reductions
-over the raw permutation array — no Python-level group loops, no
-``Mapping`` construction.
+over the raw permutation array, plus one short pass per stage for the
+hierarchical ring — no per-worker group loops, no ``Mapping``
+construction.
 
 **Tensor-rank collapse.** Three terms are the maximum of a function of
 one bandwidth over the ``tp`` tensor ranks a block spans, and the
@@ -50,9 +52,31 @@ bit (the right side *is* one of the values on the left), and the
 smallest denominator is the denominator of the smallest bandwidth.
 A ``pp > 2`` chain sums several hops per tensor rank, and the
 multi-slot-per-node ring adds an intra- and an inter-node phase per
-tensor rank, so those keep their tensor-rank axis; the ring's
-slot-pair same-node table is built once, so a call no longer gathers
-node ids or compares them.
+tensor rank, so those keep their tensor-rank axis.
+
+**The multi-slot-per-node ring.** When ``tp < gpus_per_node`` each
+node holds several slots, and a stage's ring (Eq. 6) is an intra-node
+phase, set per node by the slowest link among the node's members,
+plus an inter-node phase over one leader per node (its first member
+in data-rank order).  The members a stage has on one node form a
+subset mask of that node's slots, so ``__init__`` stores, per stage,
+node, mask and tensor rank, the reference's intra-node term
+``((k - 1) * 4.0 * msg) / ((k * minbw) * GB)`` (0.0 below two
+members).  This is exact: ``minbw`` is the subset's slowest ordered
+pair, the very minimum the reference takes over the same links, so
+each stored float *is* the reference's float, and the maximum over a
+stage's nodes is exact in any order.  Per call,
+:meth:`LatencyKernel._ring_stage` walks the stage's data-rank row once
+in Python, collecting each node's mask and leader; the intra phase of
+each rank is the maximum of the shared nodes' entries.  The slowest
+leader link of each rank does not depend on the stage, so the
+inter-phase denominators ``(kn * bw) * GB`` are memoized per sorted
+leader set, computed on a miss by two ``take`` calls over the
+slot-pair table.  The memo holds at most :data:`LEADER_MEMO_MAX`
+leader sets and starts afresh when full.  The phases are then added
+and reduced over tensor ranks in the reference's order.  At these
+sizes a few dozen Python operations cost less than the ~28 NumPy calls
+of a masked formulation over all of a stage's slot pairs.
 
 **Permutation-invariant terms.** Two cases need no per-call work at
 all, because a maximum or minimum over a *set* of slots is exact in
@@ -88,7 +112,7 @@ what lets :func:`repro.core.annealing.anneal_mapping` replay the exact
 accept/reject trajectory of the pre-kernel annealer for the same
 :class:`~repro.core.annealing.SAOptions` seed — cached plans, store
 round-trips, and gateway coalescing see byte-identical results, just
-computed one to two orders of magnitude faster: 15-46x the reference
+computed one to two orders of magnitude faster: 17-47x the reference
 on the Table 1 shapes, about 1.7x the kernel before the tensor-rank
 collapse on the ``tp == 8`` ones (``benchmarks/bench_annealing_kernel.py``;
 figures in the README).
@@ -104,10 +128,11 @@ permutation:
 * one data-parallel ring term per exposure-aware stage.
 
 Each term has one implementation on the kernel, written over any
-leading batch axes.  :meth:`LatencyKernel.evaluate_perm` and
-:meth:`LatencyKernel.evaluate_batch` (K permutations per NumPy
-dispatch, for the annealer's batched proposal mode) run every term on
-the whole permutation; :class:`IncrementalEvaluator` caches the terms
+leading batch axes (the hierarchical ring loops over the rows it is
+given).  :meth:`LatencyKernel.evaluate_perm` and
+:meth:`LatencyKernel.evaluate_batch` (K permutations per call, for
+template scoring and warm re-plans) run every term on the whole
+permutation; :class:`IncrementalEvaluator` caches the terms
 of a bound permutation and, per proposed move, re-runs only the
 touched ones, so the incremental value equals ``evaluate_perm`` to the
 last bit and the annealer's trajectory is unchanged.
@@ -146,6 +171,10 @@ from repro.units import GB
 _max = np.maximum.reduce
 _min = np.minimum.reduce
 _add = np.add.reduce
+
+#: Leader sets one kernel memoizes the inter-node ring denominators of
+#: (see :meth:`LatencyKernel._ring_stage`); a full memo is cleared.
+LEADER_MEMO_MAX: int = 4096
 
 
 def _last_max(x: np.ndarray):
@@ -293,17 +322,9 @@ class LatencyKernel:
                 self._ring_den = (dp * flat_pair.min(axis=0)) * GB
                 self._inter_num = (2.0 * (dp - 1)) * msg_dp
             else:
-                node = slot_node_index(grid, cluster)
-                same = (node[:, None] == node[None, :]).ravel()
-                self._pair_flat = flat_pair
-                self._same_flat = same
-                self._ranks = np.arange(dp)
-                # The ring numerators ``(4.0 * (k - 1)) * msg`` and
-                # ``(2.0 * (kn - 1)) * msg`` as ``(k - 1) * (4.0 * msg)``:
-                # scaling by a power of two is exact, so both forms
-                # round the same real product once.
-                self._msg_dp4 = 4.0 * msg_dp
-                self._msg_dp2 = 2.0 * msg_dp
+                self._compile_ring(flat_pair, msg_dp,
+                                   slot_node_index(grid, cluster),
+                                   cluster.gpus_per_node // tp)
 
         # ---- permutation-invariant objective -------------------------
         # One stage of whole-node slots: the TP straggler, the only ring
@@ -313,6 +334,56 @@ class LatencyKernel:
         if pp == 1 and tp == cluster.gpus_per_node:
             self._constant = float(
                 self._combine(*self._terms(np.arange(n_slots))))
+
+    def _compile_ring(self, flat_pair: np.ndarray, msg_dp: np.ndarray,
+                      node: np.ndarray, per_node: int) -> None:
+        """Tables of the multi-slot-per-node ring (see :meth:`_ring_stage`).
+
+        Slot ``s`` is bit ``s % per_node`` of node ``node[s]``, so the
+        members a ring has on one node form a subset mask.  For every
+        (stage, node, mask) the intra-node phase of each tensor rank is
+        stored: ``((k - 1) * 4.0 * msg) / ((k * minbw) * GB)`` with
+        ``minbw`` the slowest ordered pair of the subset, and 0.0 for
+        fewer than two members — the reference's expression on the
+        reference's bandwidth minimum, so the stored float is its float.
+        """
+        tp = flat_pair.shape[0]
+        n_masks = 1 << per_node
+        on_node = np.arange(node.size).reshape(-1, per_node)
+        # ``local[y, n, a, b]``: rank y's link between the node's slots
+        # a and b, taken in whichever direction is slower.
+        local = flat_pair.reshape(tp, node.size, node.size)[
+            :, on_node[:, :, None], on_node[:, None, :]]
+        local = np.minimum(local, local.swapaxes(-1, -2))
+        member = (np.arange(n_masks)[:, None] >> np.arange(per_node)) & 1 == 1
+        # Masks with highest bit h are ``2**h + rest``: their slowest
+        # pair is ``rest``'s or one of h's links into ``rest``.
+        minbw = np.full((tp, len(on_node), n_masks), np.inf)
+        for h in range(1, per_node):
+            lo = 1 << h
+            link = _min(np.where(member[:lo, :h], local[:, :, h, None, :h],
+                                 np.inf), axis=-1)
+            minbw[..., lo:2 * lo] = np.minimum(minbw[..., :lo], link)
+        k = _add(member, axis=1, dtype=np.float64)
+        # The numerator ``(4.0 * (k - 1)) * msg`` as ``(k - 1) * (4.0 *
+        # msg)``: scaling by a power of two is exact, so both forms
+        # round the same real product once.  The empty mask's nan (0 *
+        # inf in its denominator) is overwritten with the others under
+        # two members.
+        with np.errstate(invalid="ignore"):
+            intra = ((k - 1.0) * (4.0 * msg_dp)[:, None, None, None]) \
+                / ((k * minbw) * GB)                # (ns, tp, nodes, masks)
+        intra[..., k < 2] = 0.0
+        # ``_intra[stage][n * n_masks + mask]``: the tp ranks' terms.
+        self._intra = intra.transpose(0, 2, 3, 1).reshape(
+            len(msg_dp), -1, tp).tolist()
+        self._slot_base = (node * n_masks).tolist()
+        self._slot_bit = (1 << (np.arange(node.size) % per_node)).tolist()
+        self._msg_dp2 = (2.0 * msg_dp).tolist()
+        # ``_pair_cube[s1, s2]``: the tp ranks' links of a slot pair.
+        self._pair_cube = np.ascontiguousarray(
+            flat_pair.T.reshape(node.size, node.size, tp))
+        self._leader_den: "dict[tuple, list]" = {}
 
     # ------------------------------------------------------------- evaluation
 
@@ -347,7 +418,9 @@ class LatencyKernel:
         therefore *bit-identical* to ``evaluate_perm(perms[k])``.  The
         point is dispatch amortization: the annealer's batched proposal
         mode pays one NumPy call chain for K candidate moves instead of
-        K.
+        K.  The hierarchical ring (several slots per node) is scored
+        row by row by :meth:`_ring_stage`, so on those grids a batch
+        costs about K single evaluations.
         """
         perms = np.asarray(perms)
         if perms.ndim != 2 or perms.shape[1] != self.grid.n_blocks:
@@ -420,42 +493,87 @@ class LatencyKernel:
 
         ``sub`` holds the data-parallel slots of the selected stages,
         shape ``(..., m, dp)``, ``sub_scaled`` is ``sub * n_slots``,
-        and ``stages`` indexes their per-stage message sizes; the
-        result has shape ``(..., m)``.  A stage's term reads only that
-        stage's ``dp`` slots, so any subset of stages yields the
-        identical floats.
+        and ``stages`` indexes their per-stage message sizes (a slice,
+        or an array of the ``m`` stage ids); the result has shape
+        ``(..., m)``.  A stage's term reads only that stage's ``dp``
+        slots, so any subset of stages yields the identical floats.
         """
-        # ``idx[..., j, i]`` indexes the link from data rank i's slot to
-        # data rank j's, so a minimum over j runs along a middle axis.
-        idx = sub[..., :, None] + sub_scaled[..., None, :]
         if self._one_slot_per_node:
+            # ``idx[..., j, i]`` indexes the link from data rank i's
+            # slot to data rank j's.
+            idx = sub[..., :, None] + sub_scaled[..., None, :]
             den = _min(self._ring_den.take(idx), axis=(-2, -1))
             return self._inter_num[stages] / den
-        pair = self._pair_flat.take(idx, axis=1)    # (tp, ..., m, dp, dp)
-        same = self._same_flat.take(idx)            # symmetric
-        # A data rank's node population, as a float like the
-        # reference's ``k`` once it meets a bandwidth.
-        k = _add(same, axis=-1, dtype=np.float64)   # (..., m, dp)
+        m, dp = sub.shape[-2:]
+        ids = list(range(m)) if isinstance(stages, slice) \
+            else stages.tolist()
+        rows = sub.reshape(-1, dp).tolist()
+        values = map(self._ring_stage, rows, ids * (len(rows) // m))
+        return np.array(list(values)).reshape(sub.shape[:-1])
 
-        # Intra-node phase: per data rank, the slowest link to a
-        # same-node peer (+inf masks the other pairs, the diagonal is
-        # +inf); the member attaining the node minimum reproduces the
-        # reference's per-node term, the rest are dominated.  A lone
-        # member has ``k == 1`` and contributes 0.
-        rowmin = _min(np.where(same, pair, np.inf), axis=-2)
-        intra = _max(((k - 1.0) * self._msg_dp4[stages][..., None])
-                     / ((k * rowmin) * GB), axis=-1)  # (tp, ..., m)
+    def _ring_stage(self, row: list, stage: int) -> float:
+        """The multi-slot-per-node ring of one stage, worst tensor rank.
 
-        # Inter-node phase: leaders are each node's first member in
-        # data-rank order (the first same-node entry of a row is the
-        # member itself); the ring runs over the links between leaders.
-        leader = same.argmax(axis=-1) == self._ranks  # (..., m, dp)
-        kn = _add(leader, axis=-1, dtype=np.float64)  # (..., m)
-        both = leader[..., :, None] & leader[..., None, :]
-        inter_bw = _min(np.where(both, pair, np.inf), axis=(-2, -1))
-        inter = ((kn - 1.0) * self._msg_dp2[stages]) \
-            / ((kn * inter_bw) * GB)
-        return _max(intra + inter, axis=0)
+        ``row`` lists the stage's slots in data-rank order.  One pass
+        collects each node's member mask and its first member, the
+        node's leader.  The intra-node phase of each tensor rank is the
+        largest compiled entry of the nodes' masks (a lone member's is
+        0.0, so only nodes with two or more members are read); the
+        inter-node phase divides by the leaders' denominators
+        ``(kn * bw) * GB``, ``bw`` the slowest leader link of each
+        rank, which are memoized per leader set (they do not depend on
+        the stage).
+        """
+        base, bit = self._slot_base, self._slot_bit
+        masks: "dict[int, int]" = {}
+        leaders = []
+        shared = []                     # nodes with two or more members
+        for s in row:
+            b = base[s]
+            mask = masks.get(b)
+            if mask is None:
+                masks[b] = bit[s]
+                leaders.append(s)
+            else:
+                if not mask & (mask - 1):
+                    shared.append(b)
+                masks[b] = mask | bit[s]
+        table = self._intra[stage]
+        intra = None
+        if len(shared) == 1:
+            b = shared[0]
+            intra = table[b + masks[b]]
+        elif shared:
+            intra = map(max, *[table[b + masks[b]] for b in shared])
+        # A lone leader (one node) pairs only with itself: its +inf
+        # diagonal link gives ``0.0 / inf == 0.0``, the reference's
+        # absent inter-node phase.
+        key = tuple(sorted(leaders))
+        den = self._leader_den.get(key)
+        if den is None:
+            den = self._leader_miss(key)
+        num = (len(leaders) - 1.0) * self._msg_dp2[stage]
+        if intra is None:
+            # No intra-node phase: ``0.0 + inter`` is ``inter``.
+            return max([num / d for d in den])
+        return max([a + num / d for a, d in zip(intra, den)])
+
+    def _leader_miss(self, key: tuple) -> list:
+        """Inter-node ring denominators of the leader set ``key``.
+
+        The leader-set memo holds at most :data:`LEADER_MEMO_MAX`
+        entries; a miss on a full memo starts it afresh.
+        """
+        a = np.array(key)
+        bw = _min(self._pair_cube.take(a, axis=0).take(a, axis=1),
+                  axis=(0, 1))
+        kn = len(key)
+        den = [(kn * b) * GB for b in bw.tolist()]
+        memo = self._leader_den
+        if len(memo) >= LEADER_MEMO_MAX:
+            memo.clear()
+        memo[key] = den
+        return den
 
     def _combine(self, tp_worst, chain, stage_t):
         """The epilogue: partial terms to latency, elementwise over rows.
@@ -538,11 +656,14 @@ class IncrementalEvaluator:
       ``(ns,)`` (``None`` when ``dp == 1``).
 
     :meth:`propose` recomputes only the components a candidate
-    permutation touches.  Exactness rests on component independence:
-    each partial term depends on a disjoint slice of the permutation
-    and is recomputed *whole* by the kernel's own term function (a
-    touched chain lane re-runs its full sequential ``add.accumulate``;
-    a touched stage re-runs its full ring reduction), and the kernel's
+    permutation touches: the straggler when a first- or last-stage
+    block moved, the touched stages' rings, and the chain lanes (all
+    of them in one gather, which costs less than picking the touched
+    ones).  Exactness rests on component independence: each partial
+    term depends on a disjoint slice of the permutation and is
+    recomputed *whole* by the kernel's own term function (a chain lane
+    re-runs its full sequential ``add.accumulate``; a touched stage
+    re-runs its full ring), and the kernel's
     epilogue combines the cached floats exactly as the full evaluation
     would.  The per-component results are therefore bit-identical to
     the full re-score's, and so is their combination — which is what
@@ -605,13 +726,15 @@ class IncrementalEvaluator:
         slots = perm.reshape(pp, dp)
         scaled = slots * k._n_slots
         if chain is not None:
-            cols = np.unique(touched % dp)
-            chain = chain.copy()
-            chain[cols] = k._chain_lanes(slots[:, cols], scaled[:, cols])
+            # Every lane: one gather over all of them costs less than
+            # selecting the touched ones first.
+            chain = k._chain_lanes(slots, scaled)
 
         if stage_t is not None:
-            stages = np.unique(touched // dp)
-            stages = stages[stages < k._n_dp_stages]
+            # The touched stages, sorted: a count table is cheaper than
+            # ``np.unique`` on a few hundred positions.
+            stages = np.flatnonzero(
+                np.bincount(touched // dp)[:k._n_dp_stages])
             if stages.size:
                 stage_t = stage_t.copy()
                 stage_t[stages] = k._dp_stage_terms(

@@ -160,8 +160,11 @@ def _preset_world(preset, n_nodes, pp, tp):
 
 
 #: (name, world): a 4-block grid where most evaluations repeat a seen
-#: permutation, a 16-block grid above the memo limit, and two ``pp ==
-#: 1`` whole-node grids whose objective is permutation-invariant.
+#: permutation, a 16-block grid above the memo limit, two ``pp == 1``
+#: whole-node grids whose objective is permutation-invariant, and two
+#: grids with several slots per node (the hierarchical ring's intra-
+#: and inter-node phases).  In the ``pp == 1`` one, every node's two
+#: slots hold a member, so only which slot of each node leads matters.
 WORLDS = {
     "tiny-4-blocks": lambda: _tiny_world(2, 4, 2),
     "tiny-16-blocks": lambda: _tiny_world(4, 2, 2),
@@ -169,6 +172,10 @@ WORLDS = {
         high_end_cluster, 4, 1, 8),
     "mid-range-pp1-tp8-16-nodes": lambda: _preset_world(
         mid_range_cluster, 16, 1, 8),
+    "mid-range-pp2-tp4-8-nodes": lambda: _preset_world(
+        mid_range_cluster, 8, 2, 4),
+    "high-end-pp1-tp4-4-nodes": lambda: _preset_world(
+        high_end_cluster, 4, 1, 4),
 }
 
 

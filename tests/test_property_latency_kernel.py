@@ -10,10 +10,17 @@ returns — not a close one.  The draws cover:
 
 * ``tp`` in {1, 2, 4, 8}: ``tp == 8`` fills a node with one slot, the
   one-member-per-node data-parallel ring; smaller ``tp`` packs several
-  slots per node, the hierarchical ring with an intra-node phase;
+  slots per node, the hierarchical ring with an intra-node phase, on
+  up to 8 nodes;
 * ``pp`` in {1, 2, 4}: the single-hop chain and the summed chain;
 * every registered schedule, recompute, and the corners of
   :class:`~repro.core.latency_model.LatencyModelOptions`.
+
+Besides random permutations, each world scores the identity (a small
+stage sits on one node: no inter-node phase) and a node-strided
+permutation (consecutive blocks on consecutive nodes: one member per
+node, no intra-node phase).  A last test walks more leader sets than a
+shrunken leader-set memo holds.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from hypothesis import strategies as st
 from repro.cluster import NetworkProfiler
 from repro.cluster.presets import high_end_cluster, make_fabric, \
     mid_range_cluster
+from repro.core import latency_kernel
 from repro.core.annealing import apply_move
 from repro.core.latency_kernel import LatencyKernel
 from repro.core.latency_model import LatencyModelOptions, latency_with_options
@@ -57,12 +65,15 @@ MODEL = get_model("gpt-toy")
 @st.composite
 def worlds(draw):
     """Parameters of one kernel world (see :func:`_build`)."""
-    n_nodes = draw(st.sampled_from([1, 2, 4]))
+    n_nodes = draw(st.sampled_from([1, 2, 4, 8]))
     return {
         "preset": draw(st.sampled_from(sorted(PRESETS))),
         "n_nodes": n_nodes,
+        # 8 nodes only with several slots per node: the hierarchical
+        # ring is where the node count changes the kernel's work.
         "shape": draw(st.sampled_from(
-            [(pp, tp) for pp, tp in SHAPES if pp * tp <= 8 * n_nodes])),
+            [(pp, tp) for pp, tp in SHAPES if pp * tp <= 8 * n_nodes
+             and (n_nodes < 8 or tp < 8)])),
         "micro_batch": draw(st.sampled_from([1, 2])),
         "microbatches": draw(st.sampled_from([4, 8])),
         "recompute": draw(st.booleans()),
@@ -96,6 +107,15 @@ def _reference(kernel, bandwidth, profile, perm) -> float:
                                 profile, kernel.options)
 
 
+def _node_strided(kernel) -> np.ndarray:
+    """Block ``i`` on node ``i % n_nodes``, so that consecutive blocks
+    (a stage's data ranks) sit on distinct nodes."""
+    n_nodes = kernel.cluster.n_nodes
+    blocks = np.arange(kernel.grid.n_blocks)
+    per_node = kernel.grid.n_blocks // n_nodes
+    return (blocks % n_nodes) * per_node + blocks // n_nodes
+
+
 def _random_move(rng: np.random.Generator, n: int):
     kind = ("swap", "migrate", "reverse")[int(rng.integers(3))]
     if kind == "swap":
@@ -125,11 +145,18 @@ def _example(preset, n_nodes, shape, options, schedule="1f1b"):
 @example(_example("mid-range", 2, (2, 4), 1))
 @example(_example("high-end", 2, (4, 2), 4, "gpipe"))
 @example(_example("mid-range", 1, (2, 1), 1))
+# Eight slots per node: subset masks up to 255.
+@example(_example("high-end", 4, (2, 1), 2))
+# The identity puts each stage's two data ranks on one node.
+@example(_example("mid-range", 2, (4, 2), 1))
+# Node-strided, each stage's four data ranks lead their own node.
+@example(_example("high-end", 4, (2, 4), 1))
 def test_every_entry_point_equals_the_scalar_model(world):
     kernel, bandwidth, profile = _build(world)
     rng = np.random.default_rng(world["seed"])
     n = kernel.grid.n_blocks
-    perms = np.stack([rng.permutation(n) for _ in range(4)])
+    perms = np.stack([rng.permutation(n) for _ in range(4)]
+                     + [np.arange(n), _node_strided(kernel)])
     expected = [_reference(kernel, bandwidth, profile, p) for p in perms]
 
     assert [kernel.evaluate_perm(p) for p in perms] == expected
@@ -147,3 +174,28 @@ def test_every_entry_point_equals_the_scalar_model(world):
         if step % 2 == 0:
             inc.accept()
             current = candidate
+
+
+def test_leader_memo_stays_bounded_and_exact(monkeypatch):
+    """More distinct leader sets than a small memo cap: every value
+    is still the scalar model's, and the memo never exceeds the cap."""
+    cap = 3
+    monkeypatch.setattr(latency_kernel, "LEADER_MEMO_MAX", cap)
+    kernel, bandwidth, profile = _build(
+        _example("mid-range", 4, (2, 4), 1))
+    grid = kernel.grid
+    node = np.arange(grid.n_blocks) // (kernel.cluster.gpus_per_node
+                                        // grid.tp)
+    rng = np.random.default_rng(3)
+    leader_sets = set()
+    for _ in range(24):
+        perm = rng.permutation(grid.n_blocks)
+        for row in perm.reshape(grid.pp, grid.dp):
+            first: "dict[int, int]" = {}
+            for s in row.tolist():
+                first.setdefault(int(node[s]), s)
+            leader_sets.add(tuple(sorted(first.values())))
+        assert kernel.evaluate_perm(perm) == _reference(
+            kernel, bandwidth, profile, perm)
+        assert len(kernel._leader_den) <= cap
+    assert len(leader_sets) > 4 * cap
